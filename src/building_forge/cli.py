@@ -2,8 +2,9 @@
 
 Subcommands: orbits, hecke, gelfand, dynamics, find-sr.  All reports carry
 the certification depth/radius they were computed at.  Exit codes: 0 success
-(and consistent verdicts), 1 inconsistent verdict, 2 input error, 3
-budget/radius errors.
+(and consistent verdicts), 1 inconsistent verdict, 2 input error (bad
+arguments are refused by the parser before any work), 3 budget/radius
+errors.
 """
 
 from __future__ import annotations
@@ -350,6 +351,20 @@ def cmd_find_sr(args) -> int:
 # entry point
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="building-forge",
@@ -361,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, radius_default):
         p.add_argument("--group", required=True, help="path to a group document (JSON)")
         p.add_argument("--radius", type=int, default=radius_default)
-        p.add_argument("--budget", type=int, default=6)
+        p.add_argument("--budget", type=non_negative_int, default=6)
         p.add_argument("--cache", default=None, help=f"cache dir (or ${CACHE_ENV})")
         p.add_argument("--format", choices=["json", "csv", "md"], default="json")
 
@@ -381,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, radius_default=3)
     p.add_argument("--auto", required=True, help="automorphism spec (transport:... or JSON file)")
     p.add_argument("--end", required=True, help="end spec 'prefix:period'")
-    p.add_argument("--nmax", type=int, default=8)
+    p.add_argument("--nmax", type=positive_int, default=8)
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("find-sr", help="find a hyperbolic element by pigeonhole")

@@ -4,33 +4,37 @@ With K the stabilizer of the base vertex x0 and G the universal group, the
 double cosets of K in G correspond to G-orbits on ordered vertex pairs; for
 a vertex-transitive G those are classified by the K-orbit of the second
 coordinate after translating the first to x0.  The color-preserving
-transports certify vertex transitivity of U(F) for every F (their local
-permutations are all trivial), so the identification applies throughout.
+transports lie in U(F) for every F (their local permutations are all
+trivial), so the identification applies throughout.
 
 Counting with the normalization mu(K) = 1 makes the convolution of orbit
 indicators integer valued:
 
-    N[i][j][k] = #{ y : (x, y) in O_i and (y, z) in O_j }
+    N[i][j][k] = #{ y : (x0, y) in O_i and (y, z) in O_j }
 
-for any fixed pair (x, z) in O_k; independence of the representative is
-re-verified at a second representative whenever one exists.  Budgets are
-hard: a convolution either is computed exactly or refuses (OutOfBudget),
-never silently truncated.
+for any z with (x0, z) in O_k.  The tensor is built in one pass per orbit k:
+with z its representative, every y with |y| + d(y, z) <= R is visited once,
+moved to the base by a transport, and counted under (class of y, class of
+the image of z).  Such a y leaves the geodesic [x0, z] at some z[:m] and
+goes at most (R - |z|) // 2 steps off it, so the build costs about one
+transport per (orbit, y) pair, twice for orbits with a second member:
+independence of the representative is re-verified there by recounting the
+whole row.  Budgets are hard: a convolution either is computed exactly or
+refuses (OutOfBudget), never silently truncated.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .group import LocalGroup, OrbitTable, orbit_table
 from .tree import Word, reduce_word
 
 FORMAT_VERSION = 1
-
-
-class NotVertexTransitive(ValueError):
-    """The pair-orbit model needs a vertex-transitive group action."""
 
 
 class OutOfBudget(ValueError):
@@ -47,30 +51,25 @@ class PairOrbit:
     distance: int
 
 
-def _certify_vertex_transitive(F: LocalGroup) -> None:
-    # the color-preserving transports lie in U(F) iff the identity does;
-    # closures always contain it, so this cannot fail for a LocalGroup
-    from .perms import identity
-
-    if identity(F.degree) not in F:
-        raise NotVertexTransitive(
-            "U(F) is not certified vertex-transitive: identity not in F"
-        )
-
-
 def _transport(y: Word, z: Word) -> Word:
     """The word of z after the color-preserving move taking y to the base."""
     return reduce_word(tuple(reversed(y)), z)
 
 
-def pair_orbits(F: LocalGroup, radius: int) -> list[PairOrbit]:
-    """G-orbits on pairs at distance <= radius, sorted by (distance, rep)."""
-    _certify_vertex_transitive(F)
-    table = orbit_table(F, radius)
-    return [
-        PairOrbit(cls.id, cls.representative, cls.size, cls.distance)
-        for cls in table.classes
-    ]
+def _near_geodesic(degree: int, z: Word, steps: int) -> Iterator[Word]:
+    """Every y with |y| + d(y, z) <= |z| + 2 * steps, each exactly once.
+
+    y leaves the geodesic [x0, z] at z[:m] and goes s <= steps further;
+    its first step off is neither back along z nor on along it.
+    """
+    for m in range(len(z) + 1):
+        yield z[:m]
+        blocked = z[max(m - 1, 0) : m + 1]
+        layer = [z[:m] + (c,) for c in range(degree) if c not in blocked]
+        for s in range(steps):
+            if s:
+                layer = [w + (c,) for w in layer for c in range(degree) if c != w[-1]]
+            yield from layer
 
 
 class StructureConstants:
@@ -78,13 +77,11 @@ class StructureConstants:
 
     Entries are computed for every (i, j) with distance(i) + distance(j)
     within the radius budget and stored sparsely; lookups outside the budget
-    raise OutOfBudget rather than guessing.  Each entry count is independent
-    of the others, and the assembled object is immutable and freely
-    shareable.
+    raise OutOfBudget rather than guessing.  The assembled object is
+    immutable and freely shareable.
     """
 
     def __init__(self, F: LocalGroup, radius: int):
-        _certify_vertex_transitive(F)
         self.F = F
         self.radius_budget = radius
         self.table: OrbitTable = orbit_table(F, radius)
@@ -92,46 +89,31 @@ class StructureConstants:
             PairOrbit(c.id, c.representative, c.size, c.distance)
             for c in self.table.classes
         ]
-        self._members = {c.id: sorted(c.members) for c in self.table.classes}
         self._tensor: dict[tuple[int, int, int], int] = {}
         self._by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
-    def _count_at(self, i: int, j: int, z: Word) -> int:
-        d_j = self.orbits[j].distance
+    def _row(self, z: Word) -> Counter[tuple[int, int]]:
+        """N[i][j][k] for the orbit k of z, keyed by (i, j), nonzero only."""
         lookup = self.table.class_of
-        count = 0
-        for y in self._members[i]:
-            t = _transport(y, z)
-            if len(t) == d_j and lookup(t) == j:
-                count += 1
-        return count
+        steps = (self.radius_budget - len(z)) // 2
+        return Counter(
+            (lookup(y), lookup(_transport(y, z)))
+            for y in _near_geodesic(self.F.degree, z, steps)
+        )
 
     def _build(self):
-        orbits = self.orbits
-        R = self.radius_budget
-        for i in orbits:
-            for j in orbits:
-                if i.distance + j.distance > R:
-                    continue
-                lo = abs(i.distance - j.distance)
-                hi = min(R, i.distance + j.distance)
-                for k in orbits:
-                    if not (lo <= k.distance <= hi):
-                        continue
-                    n = self._count_at(i.id, j.id, k.representative)
-                    members = self._members[k.id]
-                    if len(members) > 1:
-                        other = members[1] if members[0] == k.representative else members[0]
-                        if self._count_at(i.id, j.id, other) != n:
-                            raise RuntimeError(
-                                "intersection number depends on the representative; "
-                                "orbit table is inconsistent"
-                            )
-                    if n:
-                        self._tensor[(i.id, j.id, k.id)] = n
-                        self._by_pair.setdefault((i.id, j.id), []).append((k.id, n))
+        for k in self.table.classes:
+            row = self._row(k.representative)
+            if k.size > 1 and self._row(min(k.members - {k.representative})) != row:
+                raise RuntimeError(
+                    "intersection number depends on the representative; "
+                    "orbit table is inconsistent"
+                )
+            for (i, j), n in row.items():
+                self._tensor[(i, j, k.id)] = n
+                self._by_pair.setdefault((i, j), []).append((k.id, n))
 
     # -- queries -------------------------------------------------------------
     def in_budget(self, i: int, j: int) -> bool:
@@ -144,6 +126,13 @@ class StructureConstants:
                 f"{self.orbits[i].distance + self.orbits[j].distance} > {self.radius_budget}"
             )
         return self._tensor.get((i, j, k), 0)
+
+    def nonzero(self) -> Mapping[tuple[int, int, int], int]:
+        """The stored entries, (i, j, k) -> N[i][j][k] != 0, read-only.
+
+        Every key is in budget; an in-budget triple that is absent is 0.
+        """
+        return MappingProxyType(self._tensor)
 
     def products_of(self, i: int, j: int) -> list[tuple[int, int]]:
         if not self.in_budget(i, j):
@@ -238,19 +227,22 @@ class HeckeVerdict:
 
 
 def commutativity_of(sc: StructureConstants) -> HeckeVerdict:
-    orbits = sc.orbits
-    for i in orbits:
-        for j in orbits:
-            if j.id <= i.id or not sc.in_budget(i.id, j.id):
-                continue
-            for k in orbits:
-                nij = sc._tensor.get((i.id, j.id, k.id), 0)
-                nji = sc._tensor.get((j.id, i.id, k.id), 0)
-                if nij != nji:
-                    return HeckeVerdict(
-                        sc.radius_budget, False, (i.id, j.id, k.id, nij, nji)
-                    )
-    return HeckeVerdict(sc.radius_budget, True)
+    """The lexicographically first (i < j, k) with N_ij^k != N_ji^k, if any.
+
+    An asymmetric triple has a nonzero entry on at least one side, so only
+    the stored entries are scanned.
+    """
+    tensor = sc.nonzero()
+    asymmetric = [
+        (min(i, j), max(i, j), k)
+        for (i, j, k), n in tensor.items()
+        if i != j and n != tensor.get((j, i, k), 0)
+    ]
+    if not asymmetric:
+        return HeckeVerdict(sc.radius_budget, True)
+    i, j, k = min(asymmetric)
+    witness = (i, j, k, tensor.get((i, j, k), 0), tensor.get((j, i, k), 0))
+    return HeckeVerdict(sc.radius_budget, False, witness)
 
 
 def commutativity_report(F: LocalGroup, radius: int) -> HeckeVerdict:

@@ -16,6 +16,7 @@ from building_forge.tree import (
     TreeVertex,
     ball_words,
     parallel_transport,
+    reduce_word,
 )
 
 
@@ -33,6 +34,55 @@ def make_trivial(degree: int = 3) -> LocalGroup:
 
 def make_s4() -> LocalGroup:
     return LocalGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
+def subgroups_of_symmetric(degree: int) -> list[LocalGroup]:
+    """Every 2-generated subgroup of S_degree; for degree <= 4 that is all
+    of them (6 for S3, 30 for S4), in first-found order."""
+    all_perms = list(permutations(range(degree)))
+    found: dict[tuple, LocalGroup] = {}
+    for a in all_perms:
+        for b in all_perms:
+            F = LocalGroup(degree, [a, b])
+            found.setdefault(F.elements, F)
+    return list(found.values())
+
+
+def triple_loop_count(table, i: int, j: int, z) -> int:
+    """#{y in orbit i : the word of z seen from y lies in orbit j}."""
+    count = 0
+    for y in table.classes[i].members:
+        t = reduce_word(tuple(reversed(y)), z)
+        if len(t) == table.classes[j].distance and table.class_of(t) == j:
+            count += 1
+    return count
+
+
+def triple_loop_tensor(table):
+    """Brute-force intersection numbers: every orbit triple, every member.
+
+    Returns (tensor, by_pair) in the shapes of StructureConstants: the
+    nonzero N[i][j][k] for d_i + d_j <= radius, and per (i, j) the list of
+    (k, N) in ascending k.  Each entry is recounted at a second member of
+    orbit k, which must agree.
+    """
+    classes, R = table.classes, table.radius
+    tensor: dict[tuple[int, int, int], int] = {}
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i in classes:
+        for j in classes:
+            if i.distance + j.distance > R:
+                continue
+            for k in classes:
+                if not abs(i.distance - j.distance) <= k.distance <= i.distance + j.distance:
+                    continue
+                n = triple_loop_count(table, i.id, j.id, k.representative)
+                others = sorted(k.members)[1:2]
+                assert all(triple_loop_count(table, i.id, j.id, z) == n for z in others)
+                if n:
+                    tensor[(i.id, j.id, k.id)] = n
+                    by_pair.setdefault((i.id, j.id), []).append((k.id, n))
+    return tensor, by_pair
 
 
 def random_k_portrait(rng: Random, degree: int, depth: int = 3) -> TablePortrait:

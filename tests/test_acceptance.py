@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
-from helpers import make_c3, make_s3, make_s4, make_trivial
+from helpers import make_c3, make_s3, make_s4, make_trivial, triple_loop_count
 from building_forge.coxeter import (
     ApartmentVector,
     construct_strongly_regular_translation,
@@ -306,7 +306,10 @@ def test_acceptance_08_coherent_configuration_axioms():
                 for j in ids:
                     if not sc.in_budget(i, j):
                         continue
-                    counts = {sc._count_at(i, j, z) for z in sc.table.classes[k.id].members}
+                    counts = {
+                        triple_loop_count(sc.table, i, j, z)
+                        for z in sc.table.classes[k.id].members
+                    }
                     assert len(counts) == 1
         small = [o.id for o in sc.orbits if o.distance <= 1]
         for i in small:

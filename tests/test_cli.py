@@ -197,6 +197,15 @@ class TestDynamics:
         assert json.loads(out)["translation_length"] == 1
 
 
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_nmax_below_one_rejected_at_parsing(self, groups, capsys, nmax):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--group", groups["c3"], "--auto", "transport:0,1",
+                  "--end", ":0,2", "--nmax", nmax])
+        assert exc.value.code == 2
+        assert "--nmax" in capsys.readouterr().err
+
+
 class TestFindSR:
     def test_finds_translation(self, groups, capsys):
         code, out, _ = run(
@@ -206,6 +215,14 @@ class TestFindSR:
         assert code == 0
         doc = json.loads(out)
         assert doc["translation_length"] == 2
+
+    def test_negative_budget_rejected_at_parsing(self, groups, capsys, tmp_path):
+        cache = tmp_path / "never-written"
+        with pytest.raises(SystemExit) as exc:
+            main(["find-sr", "--group", groups["c3"], "--budget", "-1", "--cache", str(cache)])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+        assert not cache.exists()
 
     def test_budget_zero_exhausts(self, groups, capsys):
         code, _, err = run(

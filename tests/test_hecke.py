@@ -5,14 +5,25 @@ from random import Random
 
 import pytest
 
-from helpers import make_c3, make_s3, make_trivial
+from helpers import (
+    make_c3,
+    make_s3,
+    make_s4,
+    make_trivial,
+    subgroups_of_symmetric,
+    triple_loop_count,
+    triple_loop_tensor,
+)
+from building_forge import hecke
+from building_forge.group import LocalGroup, OrbitClass, OrbitTable, orbit_table
 from building_forge.hecke import (
+    HeckeVerdict,
     KernelFunction,
     OutOfBudget,
+    commutativity_of,
     commutativity_report,
     convolve,
     intersection_numbers,
-    pair_orbits,
 )
 from building_forge.tree import ball_words, word_distance
 
@@ -36,12 +47,12 @@ def oracle_pair_count(d_i: int, d_j: int, z: tuple, radius: int) -> int:
 
 class TestPairOrbits:
     def test_counts(self):
-        assert len(pair_orbits(S3, 4)) == 5
-        assert len(pair_orbits(C3, 2)) == 4
-        assert len(pair_orbits(C3, 0)) == 1
+        assert len(intersection_numbers(S3, 4).orbits) == 5
+        assert len(intersection_numbers(C3, 2).orbits) == 4
+        assert len(intersection_numbers(C3, 0).orbits) == 1
 
     def test_diagonal_orbit(self):
-        orb = pair_orbits(S3, 2)[0]
+        orb = intersection_numbers(S3, 2).orbits[0]
         assert orb.distance == 0 and orb.valency == 1 and orb.representative == ()
 
 
@@ -178,5 +189,109 @@ class TestCommutativity:
         k = [o for o in sc.orbits if o.distance == 2][0]
         counts = set()
         for z in sc.table.classes[k.id].members:
-            counts.add(sc._count_at(i, j, z))
+            counts.add(triple_loop_count(sc.table, i, j, z))
         assert len(counts) == 1
+
+
+SUBGROUP_CASES = [(F, 5) for F in subgroups_of_symmetric(3)] + [
+    (F, 4) for F in subgroups_of_symmetric(4)
+]
+
+
+def triple_loop_verdict(sc, tensor) -> HeckeVerdict:
+    """The commutativity scan over every in-budget (i < j, k), in order."""
+    ids = range(len(sc.orbits))
+    for i in ids:
+        for j in ids:
+            if j <= i or not sc.in_budget(i, j):
+                continue
+            for k in ids:
+                nij, nji = tensor.get((i, j, k), 0), tensor.get((j, i, k), 0)
+                if nij != nji:
+                    return HeckeVerdict(sc.radius_budget, False, (i, j, k, nij, nji))
+    return HeckeVerdict(sc.radius_budget, True)
+
+
+class TestAgainstTripleLoop:
+    def test_every_subgroup_enumerated(self):
+        assert len(SUBGROUP_CASES) == 6 + 30
+
+    @pytest.mark.parametrize(
+        "F, max_radius",
+        SUBGROUP_CASES,
+        ids=[f"S{F.degree}-sub{n}-order{F.order()}" for n, (F, _) in enumerate(SUBGROUP_CASES)],
+    )
+    def test_tensor_and_witness(self, F, max_radius):
+        for radius in range(max_radius + 1):
+            sc = intersection_numbers(F, radius)
+            tensor, by_pair = triple_loop_tensor(sc.table)
+            assert sc.entries() == sorted((i, j, k, n) for (i, j, k), n in tensor.items())
+            assert dict(sc.nonzero()) == tensor
+            for i in sc.orbits:
+                for j in sc.orbits:
+                    if sc.in_budget(i.id, j.id):
+                        assert sc.products_of(i.id, j.id) == by_pair.get((i.id, j.id), [])
+            assert commutativity_of(sc) == triple_loop_verdict(sc, tensor)
+
+
+def split_class(table: OrbitTable, class_id: int, piece) -> OrbitTable:
+    """The table with one class cut in two; ids renumbered in order."""
+    classes = []
+    for c in table.classes:
+        parts = [c.members]
+        if c.id == class_id:
+            parts = [frozenset(piece), c.members - frozenset(piece)]
+        for members in parts:
+            classes.append(OrbitClass(len(classes), c.distance, min(members), members))
+    return OrbitTable(table.degree, table.generator_hash, table.radius, tuple(classes))
+
+
+class TestRepresentativeCheck:
+    def test_split_orbit_is_refused(self, monkeypatch):
+        # the sphere-1 orbit of C3 cut into {0} and {1, 2}: words 1 and 2
+        # now share a class without being equivalent, so their rows differ
+        bad = split_class(orbit_table(C3, 4), 1, [(0,)])
+        monkeypatch.setattr(hecke, "orbit_table", lambda F, radius: bad)
+        with pytest.raises(RuntimeError, match="depends on the representative"):
+            intersection_numbers(C3, 4)
+
+    def test_intact_table_passes(self, monkeypatch):
+        good = orbit_table(C3, 4)
+        monkeypatch.setattr(hecke, "orbit_table", lambda F, radius: good)
+        assert intersection_numbers(C3, 4).table is good
+
+
+A4 = LocalGroup(4, [(1, 2, 0, 3), (0, 2, 3, 1)])
+F20 = LocalGroup(5, [(1, 2, 3, 4, 0), (0, 2, 4, 1, 3)])
+S5 = LocalGroup(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
+
+class TestRadialAlgebra:
+    """For 2-transitive F each sphere is one K-orbit, so orbit m is the
+    sphere of radius m and the algebra is the radial one of the
+    (q+1)-regular tree (Cartier; Figa-Talamanca--Nebbia, LMS LN 162):
+    A_1 A_1 = A_2 + (q+1) A_0 and A_1 A_m = A_{m+1} + q A_{m-1} for m >= 2,
+    with valencies v_m = (q+1) q^(m-1)."""
+
+    @pytest.mark.parametrize(
+        "F, radius",
+        [(S3, 7), (A4, 7), (make_s4(), 7), (F20, 6), (S5, 6)],
+        ids=["S3", "A4", "S4", "F20", "S5"],
+    )
+    def test_closed_form(self, F, radius):
+        assert F.two_transitive
+        q = F.degree - 1
+        sc = intersection_numbers(F, radius)
+        assert [(o.distance, o.valency) for o in sc.orbits] == [(0, 1)] + [
+            (m, (q + 1) * q ** (m - 1)) for m in range(1, radius + 1)
+        ]
+        one = KernelFunction.indicator(sc, 1)
+        for m in range(1, radius):
+            lower = q + 1 if m == 1 else q
+            assert convolve(one, KernelFunction.indicator(sc, m), sc) == (
+                KernelFunction.from_dict({m + 1: Fraction(1), m - 1: Fraction(lower)}, sc)
+            )
+        for i in range(radius + 1):
+            for j in range(radius + 1 - i):
+                total = sum(n * sc.valency(k) for k, n in sc.products_of(i, j))
+                assert total == sc.valency(i) * sc.valency(j)
