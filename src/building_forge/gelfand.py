@@ -210,7 +210,7 @@ def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
     """
     if budget < 1:
         return None
-    if strong_transitivity_verdict(F, 3).two_transitive_on_ends:
+    if two_transitivity_on_ends_proxy(F, 3):
         return None
     try:
         a = find_strongly_regular(F, budget)

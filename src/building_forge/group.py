@@ -398,47 +398,47 @@ def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
     return GrowthReport(radius, counts, verdict)
 
 
+def _pair_orbit_count(F: LocalGroup, n: int) -> int:
+    """Number of K-orbits on ordered pairs of depth-n words with distinct
+    first letters: the sum of c_a * c_b over the F-orbits on ordered pairs
+    of distinct colors (a, b), where c_a counts the arm classes in cone(a)."""
+    arm_classes = [0] * F.degree
+    seen: set[Word] = set()
+    for w in sphere_words(F.degree, n):
+        if w not in seen:
+            arm_classes[w[0]] += 1
+            seen |= _constrained_images(F, w, w[0])
+    colors = range(F.degree)
+    reps = {
+        min((p[a], p[b]) for p in F.elements)
+        for a in colors
+        for b in colors
+        if a != b
+    }
+    return sum(arm_classes[a] * arm_classes[b] for a, b in reps)
+
+
 def two_transitivity_on_ends_proxy(F: LocalGroup, n: int) -> bool:
     """Depth-n shadow of 2-transitivity on ends.
 
     True iff U(F) is transitive on ordered pairs of depth-n vertices at
-    mutual distance 2n; the midpoint is normalized to the base vertex by
-    vertex transitivity, so this is a stabilizer-orbit count on word pairs
-    whose arms share only the local permutation at the base vertex.
+    mutual distance 2n.  The midpoint is normalized to the base vertex by
+    vertex transitivity, so this asks whether K, the base-vertex stabilizer,
+    has one orbit on pairs (u, v) of depth-n words with u[0] != v[0].
+
+    The pair orbits are counted, never enumerated.  The root permutation s0
+    pins only the first letters; below them each arm is constrained by its
+    own first image alone, so the stabilizer of the colors (a, b) acts on
+    cone(a) x cone(b) as a product.  Its orbits there are pairs of arm
+    classes: the parts of cone(a) under the stabilizer of the vertex a.
+    Hence the K-orbits number sum c_a * c_b over the F-orbits on ordered
+    pairs of distinct colors, with c_a the arm classes in cone(a), and the
+    proxy holds iff that sum is 1.  Cost: one ``_constrained_images`` per
+    arm class, each sphere word touched once; memory is one sphere.
     """
     if n < 2:
         raise ValueError("the proxy needs depth n >= 2")
-    degree = F.degree
-    all_words = list(sphere_words(degree, n))
-    pairs = [
-        (u, v) for u in all_words for v in all_words if u[0] != v[0]
-    ]
-    if not pairs:
-        return False
-    arm_memo: dict[tuple[Word, int], set[Word]] = {}
-
-    def arm(word: Word, e1: int) -> set[Word]:
-        key = (word, e1)
-        got = arm_memo.get(key)
-        if got is None:
-            got = _constrained_images(F, word, e1)
-            arm_memo[key] = got
-        return got
-
-    seen: set[tuple[Word, Word]] = set()
-    classes = 0
-    for pair in pairs:
-        if pair in seen:
-            continue
-        classes += 1
-        if classes > 1:
-            return False
-        u, v = pair
-        for s0 in F.elements:
-            for iu in arm(u, s0[u[0]]):
-                for iv in arm(v, s0[v[0]]):
-                    seen.add((iu, iv))
-    return classes == 1
+    return _pair_orbit_count(F, n) == 1
 
 
 def default_generating_family(F: LocalGroup) -> list[Portrait]:

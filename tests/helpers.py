@@ -5,10 +5,10 @@ check: brute-force counts over balls, direct deep-vertex evaluation for end
 images, exhaustive enumeration of constrained local data.
 """
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from random import Random
 
-from building_forge.group import LocalGroup
+from building_forge.group import LocalGroup, _constrained_images
 from building_forge.tree import (
     ROOT,
     Portrait,
@@ -17,6 +17,7 @@ from building_forge.tree import (
     ball_words,
     parallel_transport,
     reduce_word,
+    sphere_words,
 )
 
 
@@ -39,13 +40,33 @@ def make_s4() -> LocalGroup:
 def subgroups_of_symmetric(degree: int) -> list[LocalGroup]:
     """Every 2-generated subgroup of S_degree; for degree <= 4 that is all
     of them (6 for S3, 30 for S4), in first-found order."""
-    all_perms = list(permutations(range(degree)))
     found: dict[tuple, LocalGroup] = {}
-    for a in all_perms:
-        for b in all_perms:
-            F = LocalGroup(degree, [a, b])
-            found.setdefault(F.elements, F)
+    # (a, b) and (b, a) generate the same group, and the earlier of the two
+    # comes first in the nested-loop order, so unordered pairs suffice.
+    for a, b in combinations_with_replacement(permutations(range(degree)), 2):
+        F = LocalGroup(degree, [a, b])
+        found.setdefault(F.elements, F)
     return list(found.values())
+
+
+def pair_orbit_count_bruteforce(F: LocalGroup, n: int) -> int:
+    """K-orbits on ordered pairs of depth-n words with distinct first
+    letters, by enumerating every pair and sweeping out each orbit: for
+    every root permutation s0, the product of the two arms' images."""
+    words = list(sphere_words(F.degree, n))
+    pairs = [(u, v) for u in words for v in words if u[0] != v[0]]
+    seen: set = set()
+    classes = 0
+    for u, v in pairs:
+        if (u, v) in seen:
+            continue
+        classes += 1
+        for s0 in F.elements:
+            arm_v = _constrained_images(F, v, s0[v[0]])
+            for iu in _constrained_images(F, u, s0[u[0]]):
+                for iv in arm_v:
+                    seen.add((iu, iv))
+    return classes
 
 
 def triple_loop_count(table, i: int, j: int, z) -> int:

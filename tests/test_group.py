@@ -2,13 +2,21 @@
 
 import pytest
 
-from helpers import make_c3, make_s3, make_s4, make_trivial
+from helpers import (
+    make_c3,
+    make_s3,
+    make_s4,
+    make_trivial,
+    pair_orbit_count_bruteforce,
+    subgroups_of_symmetric,
+)
 from building_forge.group import (
     LabeledBall,
     LocalGroup,
     ParseError,
     RadiusMismatch,
     StabilizerElement,
+    _pair_orbit_count,
     check_legal,
     enumerate_ends,
     fixed_end_check,
@@ -20,7 +28,7 @@ from building_forge.group import (
     transporter,
     two_transitivity_on_ends_proxy,
 )
-from building_forge.perms import transposition
+from building_forge.perms import compose, invert, transposition
 from building_forge.tree import (
     ROOT,
     TablePortrait,
@@ -36,6 +44,8 @@ C3 = make_c3()
 S3 = make_s3()
 S4 = make_s4()
 TRIV = make_trivial()
+S3_SUBGROUPS = subgroups_of_symmetric(3)
+S4_SUBGROUPS = subgroups_of_symmetric(4)
 
 
 class TestLocalGroup:
@@ -182,6 +192,62 @@ class TestTwoTransitivityProxy:
         for F in (C3, S3, TRIV):
             vals = [two_transitivity_on_ends_proxy(F, n) for n in (2, 3, 4)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_depth_below_two_rejected(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                two_transitivity_on_ends_proxy(S3, n)
+
+
+class TestPairOrbitCount:
+    def test_against_pair_enumeration(self):
+        cases = [(F, n) for F in S3_SUBGROUPS for n in (2, 3, 4)]
+        cases += [(F, n) for F in S4_SUBGROUPS for n in (2, 3)]
+        assert len(cases) == 78
+        for F, n in cases:
+            assert _pair_orbit_count(F, n) == pair_orbit_count_bruteforce(F, n), (F, n)
+
+    def test_trivial_group_closed_form(self):
+        # K is trivial, so every ordered pair is its own orbit
+        for degree in (3, 4, 5):
+            q = degree - 1
+            for n in (2, 3, 4):
+                count = _pair_orbit_count(make_trivial(degree), n)
+                assert count == (q + 1) * q ** (2 * n - 1)
+
+
+class TestBurgerMozes:
+    """U(F) is 2-transitive on ends iff F is 2-transitive (Burger-Mozes,
+    Publ. IHES 92, 2000); the proxy must agree at every depth."""
+
+    def test_subgroups_of_s3_and_s4(self):
+        assert len(S3_SUBGROUPS) + len(S4_SUBGROUPS) == 36
+        for F in S3_SUBGROUPS + S4_SUBGROUPS:
+            for n in range(2, 6):
+                assert two_transitivity_on_ends_proxy(F, n) == F.two_transitive, (F, n)
+
+    def test_two_generated_subgroups_of_s5(self):
+        s5_subgroups = subgroups_of_symmetric(5)
+        assert len(s5_subgroups) == 156
+        for F in s5_subgroups:
+            for n in range(2, 6):
+                assert two_transitivity_on_ends_proxy(F, n) == F.two_transitive, (F, n)
+
+
+class TestRelabeling:
+    def test_conjugate_groups_agree(self):
+        def invariants(F):
+            return (
+                two_transitivity_on_ends_proxy(F, 3),
+                _pair_orbit_count(F, 3),
+                orbit_count_growth(F, 4).counts,
+            )
+
+        for F in S4_SUBGROUPS:
+            expect = invariants(F)
+            for pi in S4.elements:
+                gens = [compose(compose(pi, g), invert(pi)) for g in F.generators]
+                assert invariants(LocalGroup(4, gens)) == expect, (F, pi)
 
 
 class TestTransporter:
