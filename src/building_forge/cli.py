@@ -323,7 +323,6 @@ def cmd_dynamics(args) -> int:
 
 def cmd_find_sr(args) -> int:
     cfg = load_config(args)
-    load_or_build_table(cfg)  # warm/validate the orbit cache for this group
     g = gelfand.find_strongly_regular(cfg.local_group, cfg.budget)
     cls = tree.classify_isometry(g, tree.default_search_radius(g))
     doc = {

@@ -9,6 +9,15 @@ e1 e2 ... en where e1 = s0(c1) for an arbitrary s0 in F and, at each later
 position, the local permutation s in F is pinned by s(ci) = ei and emits
 e_{i+1} = s(c_{i+1}).
 
+K-orbits grow one letter at a time.  If g in K moves w to u, its local
+permutation at w is any s in F with s(w[-1]) = u[-1], so the orbit of
+w + (c,) is {u + (e,) : u in orbit(w), e in F.post(w[-1], u[-1], c)}.
+Every orbit on sphere n+1 is therefore one extension step of an orbit on
+sphere n, and two children r + (c,), r + (c',) of a representative r share
+an orbit iff c' lies in F.post(r[-1], r[-1], c).  Orbit tables are grown
+sphere by sphere this way: one extension step per class, each ball word
+built once.
+
 Orbit tables carry canonical (lexicographically smallest) representatives so
 that they are independent of traversal order, and serialize to a versioned
 canonical JSON form that round-trips byte-identically.
@@ -38,7 +47,7 @@ from .tree import (
     sphere_words,
 )
 
-ORBIT_TABLE_FORMAT_VERSION = 1
+ORBIT_TABLE_FORMAT_VERSION = 2
 
 
 class RadiusMismatch(ValueError):
@@ -211,27 +220,32 @@ def _constrained_images(F: LocalGroup, word: Word, e_first: int) -> set[Word]:
     return {(e_first,) + tail for tail in suffixes(1, e_first)}
 
 
-def k_orbit(F: LocalGroup, word: Word) -> frozenset[Word]:
-    """The orbit of a sphere word under the base-vertex stabilizer of U(F)."""
-    if not word:
-        return frozenset({()})
-    out: set[Word] = set()
-    for e1 in F.images_of(word[0]):
-        out |= _constrained_images(F, word, e1)
-    return frozenset(out)
+def k_orbit(
+    F: LocalGroup, word: Word, parent: frozenset[Word] | None = None
+) -> frozenset[Word]:
+    """The orbit of a sphere word under the base-vertex stabilizer of U(F).
 
-
-def k_orbits_on_sphere(F: LocalGroup, n: int) -> list[tuple[Word, frozenset[Word]]]:
-    """Partition of sphere n into stabilizer orbits, reps lexicographic."""
-    classes: list[tuple[Word, frozenset[Word]]] = []
-    seen: set[Word] = set()
-    for w in sphere_words(F.degree, n):
-        if w in seen:
-            continue
-        orbit = k_orbit(F, w)
-        seen |= orbit
-        classes.append((min(orbit), orbit))
-    return classes
+    With ``parent``, the orbit of word[:-1], this is one extension step:
+    {u + (e,) : u in parent, e in F.post(word[-2], u[-1], word[-1])}, with
+    F.images_of(word[0]) for the first letter.  Without it the step is
+    repeated over the prefixes of ``word``, building each prefix orbit once.
+    """
+    orbit, start = ({()}, 1) if parent is None else (parent, len(word))
+    post = F.post
+    for n in range(start, len(word) + 1):
+        c = word[n - 1]
+        if n == 1:
+            orbit = {(e,) for e in F.images_of(c)}
+        else:
+            c_prev = word[n - 2]
+            orbit = {u + (e,) for u in orbit for e in post(c_prev, u[-1], c)}
+    # hold ``word`` itself, not an equal copy, so that a caller keeping it
+    # as the representative stores the tuple once
+    orbit.discard(word)
+    orbit.add(word)
+    # a set first, then frozen: a frozenset grown from a generator keeps
+    # its over-allocated table, half as large again
+    return frozenset(orbit)
 
 
 def k_transporter(F: LocalGroup, src: Word, dst: Word) -> TablePortrait | None:
@@ -296,9 +310,7 @@ class OrbitClass:
 class OrbitTable:
     """Stabilizer orbits on the closed ball of a given radius.
 
-    ``classes`` partition the ball, ordered by (distance, representative);
-    ``pair_classes`` are the same cells read as orbits of the full group on
-    pairs (base, v), with the cell size as the valency of the pair orbit.
+    ``classes`` partition the ball, ordered by (distance, representative).
     """
 
     degree: int
@@ -315,12 +327,6 @@ class OrbitTable:
 
     def class_of(self, word: Word) -> int:
         return self._lookup[word]
-
-    @property
-    def pair_classes(self) -> list[tuple[Word, int]]:
-        """The same cells as full-group orbits on pairs (base, v): for a
-        vertex-transitive group the cell size is the pair orbit's valency."""
-        return [(cls.representative, cls.size) for cls in self.classes]
 
     def sphere_counts(self) -> list[int]:
         counts = [0] * (self.radius + 1)
@@ -342,22 +348,39 @@ class OrbitTable:
                 }
                 for cls in self.classes
             ],
-            "pair_classes": [
-                {
-                    "representative": " ".join(map(str, cls.representative)),
-                    "valency": cls.size,
-                }
-                for cls in self.classes
-            ],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
-    classes: list[OrbitClass] = []
-    for n in range(radius + 1):
-        for rep, members in k_orbits_on_sphere(F, n):
-            classes.append(OrbitClass(len(classes), n, rep, members))
+    """The K-orbits on the ball of ``radius``, grown sphere by sphere.
+
+    Each class r on sphere n splits its children r + (c,) by the orbits of
+    the stabilizer of r[-1] in F (of F itself at the base vertex); each part
+    is one class on sphere n+1, whose representative r + (min part,) is its
+    lexicographic minimum and whose members are one ``k_orbit`` extension
+    step from r's members.  Cost: one extension step per class, each ball
+    word built once.
+    """
+    classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
+    sphere = classes
+    for n in range(1, radius + 1):
+        children: list[tuple[Word, frozenset[Word]]] = []
+        for cls in sphere:
+            r = cls.representative
+            placed: set[int] = set()
+            for c in range(F.degree):
+                if c in placed or (r and c == r[-1]):
+                    continue
+                part = F.post(r[-1], r[-1], c) if r else F.images_of(c)
+                placed.update(part)
+                children.append((r + (part[0],), cls.members))
+        children.sort(key=lambda child: child[0])
+        sphere = [
+            OrbitClass(len(classes) + i, n, rep, k_orbit(F, rep, parent))
+            for i, (rep, parent) in enumerate(children)
+        ]
+        classes.extend(sphere)
     return OrbitTable(F.degree, F.hash_key(), radius, tuple(classes))
 
 
@@ -387,7 +410,7 @@ class GrowthReport:
 def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
     if radius < 2:
         raise ValueError("the growth window needs radius >= 2")
-    counts = tuple(len(k_orbits_on_sphere(F, n)) for n in range(radius + 1))
+    counts = tuple(orbit_table(F, radius).sphere_counts())
     window = counts[radius - 2 : radius + 1]
     if window[0] == window[1] == window[2]:
         verdict = "stabilized"

@@ -140,13 +140,24 @@ class TreeVertex:
         return TreeVertex(self.word[:-1])
 
     def neighbor(self, c: int) -> "TreeVertex":
-        return TreeVertex(neighbor_word(self.word, c))
+        if c < 0:
+            raise ValueError("colors are non-negative integers")
+        return _vertex(neighbor_word(self.word, c))
 
     def distance(self, other: "TreeVertex") -> int:
         return word_distance(self.word, other.word)
 
     def __repr__(self) -> str:
         return f"TreeVertex({' '.join(map(str, self.word))})"
+
+
+def _vertex(word: Word) -> TreeVertex:
+    """A vertex for a word derived from a valid vertex, unchecked: the
+    public constructor re-validates the whole word, which makes walks
+    quadratic in their length."""
+    v = object.__new__(TreeVertex)
+    object.__setattr__(v, "word", word)
+    return v
 
 
 ROOT = TreeVertex(())
@@ -546,7 +557,7 @@ class TablePortrait(Portrait):
         memo = self._img_memo
         got = memo.get(w)
         if got is not None:
-            return TreeVertex(got)
+            return _vertex(got)
         i = len(w)
         while i > 0 and w[:i] not in memo:
             i -= 1
@@ -629,7 +640,7 @@ class InversePortrait(Portrait):
         """
         got = self._img_memo.get(v.word)
         if got is not None:
-            return TreeVertex(got)
+            return _vertex(got)
         y = ROOT
         u = self.inner.base_image  # = inner(y)
         # descend to the root of the image side first

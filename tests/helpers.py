@@ -8,12 +8,13 @@ images, exhaustive enumeration of constrained local data.
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
-from building_forge.group import LocalGroup, _constrained_images
+from building_forge.group import LocalGroup, _constrained_images, k_orbit
 from building_forge.tree import (
     ROOT,
     Portrait,
     TablePortrait,
     TreeVertex,
+    Word,
     ball_words,
     parallel_transport,
     reduce_word,
@@ -47,6 +48,30 @@ def subgroups_of_symmetric(degree: int) -> list[LocalGroup]:
         F = LocalGroup(degree, [a, b])
         found.setdefault(F.elements, F)
     return list(found.values())
+
+
+def dfs_k_orbit(F: LocalGroup, word: Word) -> frozenset[Word]:
+    """The K-orbit of a sphere word by the depth-first search over suffix
+    sets: the constrained images of ``word`` for every first image."""
+    if not word:
+        return frozenset({()})
+    out: set[Word] = set()
+    for e1 in F.images_of(word[0]):
+        out |= _constrained_images(F, word, e1)
+    return frozenset(out)
+
+
+def k_orbits_on_sphere(F: LocalGroup, n: int) -> list[tuple[Word, frozenset[Word]]]:
+    """Partition of sphere n into stabilizer orbits, reps lexicographic."""
+    classes: list[tuple[Word, frozenset[Word]]] = []
+    seen: set[Word] = set()
+    for w in sphere_words(F.degree, n):
+        if w in seen:
+            continue
+        orbit = k_orbit(F, w)
+        seen |= orbit
+        classes.append((min(orbit), orbit))
+    return classes
 
 
 def pair_orbit_count_bruteforce(F: LocalGroup, n: int) -> int:

@@ -224,6 +224,15 @@ class TestFindSR:
         assert "--budget" in capsys.readouterr().err
         assert not cache.exists()
 
+    def test_leaves_the_orbit_cache_alone(self, groups, capsys, tmp_path):
+        cache = tmp_path / "never-written"
+        code, _, _ = run(
+            capsys,
+            ["find-sr", "--group", groups["c3"], "--budget", "6", "--cache", str(cache)],
+        )
+        assert code == 0
+        assert not cache.exists()
+
     def test_budget_zero_exhausts(self, groups, capsys):
         code, _, err = run(
             capsys,

@@ -3,6 +3,8 @@
 import pytest
 
 from helpers import (
+    dfs_k_orbit,
+    k_orbits_on_sphere,
     make_c3,
     make_s3,
     make_s4,
@@ -13,6 +15,8 @@ from helpers import (
 from building_forge.group import (
     LabeledBall,
     LocalGroup,
+    OrbitClass,
+    OrbitTable,
     ParseError,
     RadiusMismatch,
     StabilizerElement,
@@ -20,7 +24,7 @@ from building_forge.group import (
     check_legal,
     enumerate_ends,
     fixed_end_check,
-    k_orbits_on_sphere,
+    k_orbit,
     k_transporter,
     orbit_count_growth,
     orbit_table,
@@ -34,6 +38,7 @@ from building_forge.tree import (
     TablePortrait,
     TreeEnd,
     TreeVertex,
+    ball_words,
     constant_portrait,
     identity_portrait,
     parallel_transport,
@@ -308,13 +313,61 @@ class TestOrbitTableSerialization:
         import json
 
         doc = json.loads(t1)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["degree"] == 3
-        assert len(doc["classes"]) == len(doc["pair_classes"]) == 1 + 1 + 2 + 4
+        assert len(doc["classes"]) == 1 + 1 + 2 + 4
+        assert "pair_classes" not in doc
 
     def test_sphere_counts(self):
         assert orbit_table(S3, 4).sphere_counts() == [1, 1, 1, 1, 1]
 
-    def test_pair_classes_mirror_cells(self):
+    def test_classes_list_cells(self):
         table = orbit_table(C3, 2)
-        assert table.pair_classes == [((), 1), ((0,), 3), ((0, 1), 3), ((0, 2), 3)]
+        cells = [(cls.representative, cls.size) for cls in table.classes]
+        assert cells == [((), 1), ((0,), 3), ((0, 1), 3), ((0, 2), 3)]
+
+
+class TestOrbitTableAgainstSphereScan:
+    """``orbit_table`` grows each sphere from the classes of the one before;
+    the oracle scans every sphere word and sweeps out its orbit."""
+
+    @pytest.fixture(scope="class")
+    def balls(self):
+        return (
+            [(F, 6) for F in S3_SUBGROUPS]
+            + [(F, 5) for F in S4_SUBGROUPS]
+            + [(F, 3) for F in subgroups_of_symmetric(5)]
+        )
+
+    def test_family_sizes(self, balls):
+        assert len(balls) == 6 + 30 + 156
+
+    def test_tables_match_the_scan(self, balls):
+        for F, radius in balls:
+            table = orbit_table(F, radius)
+            expect = [
+                (n, rep, members)
+                for n in range(radius + 1)
+                for rep, members in k_orbits_on_sphere(F, n)
+            ]
+            got = [(c.distance, c.representative, c.members) for c in table.classes]
+            assert got == expect, (F, radius)
+            assert [c.id for c in table.classes] == list(range(len(expect)))
+            scan = OrbitTable(
+                F.degree,
+                F.hash_key(),
+                radius,
+                tuple(OrbitClass(i, *cls) for i, cls in enumerate(expect)),
+            )
+            assert table.to_json() == scan.to_json(), (F, radius)
+
+    def test_extension_step_matches_the_full_orbit(self, balls):
+        for F, radius in balls:
+            orbit_of = {(): k_orbit(F, ())}
+            for w in ball_words(F.degree, radius):
+                if not w:
+                    continue
+                full = k_orbit(F, w)
+                assert k_orbit(F, w, orbit_of[w[:-1]]) == full, (F, w)
+                assert full == dfs_k_orbit(F, w), (F, w)
+                orbit_of[w] = full

@@ -37,6 +37,9 @@ class TestWords:
         v = TreeVertex((0, 1))
         assert v.neighbor(1) == TreeVertex((0,))
         assert v.neighbor(2) == TreeVertex((0, 1, 2))
+        assert hash(v.neighbor(2)) == hash(TreeVertex((0, 1, 2)))
+        with pytest.raises(ValueError):
+            v.neighbor(-1)
 
     def test_geodesic(self):
         path = geodesic(TreeVertex((0, 1, 2)), TreeVertex((0, 2)))
