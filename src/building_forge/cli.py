@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: orbits, hecke, gelfand, dynamics, find-sr.  All reports carry
-the certification depth/radius they were computed at.  Exit codes: 0 success
-(and consistent verdicts), 1 inconsistent verdict, 2 input error (bad
-arguments are refused by the parser before any work), 3 budget/radius
-errors.
+Subcommands: orbits, hecke, gelfand, dynamics, find-sr; each takes
+--group, --format and only the flags it reads.  All reports carry the
+certification depth/radius they were computed at and go to stdout; no
+subcommand writes a file.  Exit codes: 0 success (and consistent verdicts),
+1 inconsistent verdict, 2 input error (bad arguments are refused by the
+parser before any work), 3 budget/radius errors.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import gelfand, group, hecke, tree
-from .group import LocalGroup, ORBIT_TABLE_FORMAT_VERSION, OrbitTable, ParseError
+from .group import LocalGroup, ParseError
 from .perms import parse_perm
 from .tree import (
     BudgetExhausted,
@@ -30,87 +29,15 @@ from .tree import (
     TreeVertex,
 )
 
-CACHE_ENV = "BUILDING_FORGE_CACHE"
-DEFAULT_CACHE = ".building-forge-cache"
 
-
-class CacheInvalid(RuntimeError):
-    """A cache file failed validation; the caller recomputes, never guesses."""
-
-
-@dataclass
-class RunConfig:
-    group_file: str
-    radius: int
-    budget: int
-    cache_dir: Path
-    output_format: str
-    local_group: LocalGroup
-
-
-def load_config(args) -> RunConfig:
-    path = Path(args.group)
+def load_group(path: str) -> LocalGroup:
+    """The group document at ``path``; an unreadable file is a ParseError."""
+    path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"cannot read group file {path}: {exc}")
-    F = group.parse_local_group(text)
-    if args.radius < 0:
-        raise ParseError("radius must be non-negative")
-    cache_dir = Path(args.cache or os.environ.get(CACHE_ENV, DEFAULT_CACHE))
-    return RunConfig(
-        group_file=str(path),
-        radius=args.radius,
-        budget=args.budget,
-        cache_dir=cache_dir,
-        output_format=args.format,
-        local_group=F,
-    )
-
-
-# ---------------------------------------------------------------------------
-# orbit cache
-
-
-def cache_path(cfg: RunConfig) -> Path:
-    key = cfg.local_group.hash_key()[:16]
-    return cfg.cache_dir / f"orbits_d{cfg.local_group.degree}_{key}_r{cfg.radius}.json"
-
-
-def validate_cached(text: str, cfg: RunConfig) -> None:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CacheInvalid(f"cache is not valid JSON: {exc.msg}")
-    if not isinstance(doc, dict):
-        raise CacheInvalid("cache root must be an object")
-    if doc.get("format_version") != ORBIT_TABLE_FORMAT_VERSION:
-        raise CacheInvalid(f"unsupported cache format_version {doc.get('format_version')}")
-    if doc.get("degree") != cfg.local_group.degree:
-        raise CacheInvalid("cache degree does not match the group")
-    if doc.get("generator_hash") != cfg.local_group.hash_key():
-        raise CacheInvalid("cache generator hash does not match the group")
-    if doc.get("radius") != cfg.radius:
-        raise CacheInvalid("cache radius does not match the request")
-
-
-def load_or_build_table(cfg: RunConfig) -> tuple[OrbitTable, bool]:
-    """(table, cache_hit). A corrupt cache is recomputed and rewritten."""
-    path = cache_path(cfg)
-    table = group.orbit_table(cfg.local_group, cfg.radius)
-    serialized = table.to_json()
-    if path.exists():
-        try:
-            text = path.read_text()
-            validate_cached(text, cfg)
-            if text != serialized:
-                raise CacheInvalid("cache content differs from recomputation")
-            return table, True
-        except CacheInvalid as exc:
-            print(f"warning: {exc}; recomputing", file=sys.stderr)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(serialized)
-    return table, False
+    return group.parse_local_group(text)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +73,7 @@ def word_str(w) -> str:
 
 
 def cmd_orbits(args) -> int:
-    cfg = load_config(args)
-    table, hit = load_or_build_table(cfg)
+    table = group.orbit_table(load_group(args.group), args.radius)
     rows = [
         {
             "distance": c.distance,
@@ -156,21 +82,19 @@ def cmd_orbits(args) -> int:
         }
         for c in table.classes
     ]
-    if cfg.output_format == "json":
+    if args.format == "json":
         emit_json(
             {
-                "format_version": ORBIT_TABLE_FORMAT_VERSION,
+                "format_version": 3,
                 "command": "orbits",
                 "degree": table.degree,
                 "generator_hash": table.generator_hash,
                 "radius": table.radius,
                 "sphere_counts": table.sphere_counts(),
                 "classes": rows,
-                "cache_hit": hit,
-                "cache_path": str(cache_path(cfg)),
             }
         )
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         emit_csv(rows, ["distance", "representative", "size"])
     else:
         print(f"orbit classes, radius {table.radius}, sphere counts {table.sphere_counts()}")
@@ -179,18 +103,18 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_hecke(args) -> int:
-    cfg = load_config(args)
-    sc = hecke.intersection_numbers(cfg.local_group, cfg.radius)
+    F = load_group(args.group)
+    sc = hecke.intersection_numbers(F, args.radius)
     verdict = hecke.commutativity_of(sc)
     rows = [{"i": i, "j": j, "k": k, "N": n} for (i, j, k, n) in sc.entries()]
-    if cfg.output_format == "json":
+    if args.format == "json":
         emit_json(
             {
                 "format_version": hecke.FORMAT_VERSION,
                 "command": "hecke",
-                "degree": cfg.local_group.degree,
-                "generator_hash": cfg.local_group.hash_key(),
-                "radius": cfg.radius,
+                "degree": F.degree,
+                "generator_hash": F.hash_key(),
+                "radius": args.radius,
                 "verdict": verdict.describe(),
                 "orbits": [
                     {
@@ -204,10 +128,10 @@ def cmd_hecke(args) -> int:
                 "constants": rows,
             }
         )
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         emit_csv(rows, ["i", "j", "k", "N"])
     else:
-        print(f"orbit algebra at radius {cfg.radius}: {verdict.describe()}")
+        print(f"orbit algebra at radius {args.radius}: {verdict.describe()}")
         ids = [o.id for o in sc.orbits]
         header = ["i\\j"] + [str(j) for j in ids]
         print("| " + " | ".join(header) + " |")
@@ -225,12 +149,12 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_gelfand(args) -> int:
-    cfg = load_config(args)
-    verdict = gelfand.main_theorem_report(cfg.local_group, cfg.radius, cfg.budget)
+    F = load_group(args.group)
+    verdict = gelfand.main_theorem_report(F, args.radius, args.budget)
     doc = verdict.to_dict()
-    if cfg.output_format == "json":
+    if args.format == "json":
         emit_json(doc)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         flat = {k: json.dumps(v) if isinstance(v, (dict, list)) else v for k, v in doc.items()}
         emit_csv([flat], list(flat))
     else:
@@ -281,8 +205,7 @@ def parse_end(spec: str) -> TreeEnd:
 
 
 def cmd_dynamics(args) -> int:
-    cfg = load_config(args)
-    degree = cfg.local_group.degree
+    degree = load_group(args.group).degree
     a = parse_automorphism(args.auto, degree)
     xi = parse_end(args.end)
     cls = tree.classify_isometry(a, tree.default_search_radius(a))
@@ -311,9 +234,9 @@ def cmd_dynamics(args) -> int:
         "rows": rows,
         "note": "agreement_depth -1 means the iterate equals the attracting end",
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         emit_json(doc)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         emit_csv(rows, ["n", "agreement_depth", "axis_overlap"])
     else:
         print(f"hyperbolic of length {cls.length}; iterating toward the attracting end")
@@ -322,23 +245,23 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_find_sr(args) -> int:
-    cfg = load_config(args)
-    g = gelfand.find_strongly_regular(cfg.local_group, cfg.budget)
+    F = load_group(args.group)
+    g = gelfand.find_strongly_regular(F, args.budget)
     cls = tree.classify_isometry(g, tree.default_search_radius(g))
     doc = {
         "format_version": 1,
         "command": "find-sr",
-        "degree": cfg.local_group.degree,
-        "budget": cfg.budget,
+        "degree": F.degree,
+        "budget": args.budget,
         "base_image": word_str(g.base_image.word),
         "portrait_support": "color-preserving transport (empty exception table)",
         "translation_length": cls.length,
         "axis_prefix_plus": word_str(cls.axis.end_plus.word_prefix(10)),
         "axis_prefix_minus": word_str(cls.axis.end_minus.word_prefix(10)),
     }
-    if cfg.output_format == "json":
+    if args.format == "json":
         emit_json(doc)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         emit_csv([doc], list(doc))
     else:
         for key, val in doc.items():
@@ -372,35 +295,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, radius_default):
+    def subcommand(name, func, help, *, radius=None, budget=False):
+        """A subparser with --group, --format and only the flags ``func`` reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--group", required=True, help="path to a group document (JSON)")
-        p.add_argument("--radius", type=int, default=radius_default)
-        p.add_argument("--budget", type=non_negative_int, default=6)
-        p.add_argument("--cache", default=None, help=f"cache dir (or ${CACHE_ENV})")
+        if radius is not None:
+            p.add_argument("--radius", type=non_negative_int, default=radius)
+        if budget:
+            p.add_argument("--budget", type=non_negative_int, default=6)
         p.add_argument("--format", choices=["json", "csv", "md"], default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("orbits", help="stabilizer orbit tables on a ball")
-    common(p, radius_default=4)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("hecke", help="intersection numbers and commutativity")
-    common(p, radius_default=4)
-    p.set_defaults(func=cmd_hecke)
-
-    p = sub.add_parser("gelfand", help="the full three-way verdict")
-    common(p, radius_default=3)
-    p.set_defaults(func=cmd_gelfand)
-
-    p = sub.add_parser("dynamics", help="iteration of an end under a hyperbolic")
-    common(p, radius_default=3)
+    subcommand("orbits", cmd_orbits, "stabilizer orbit tables on a ball", radius=4)
+    subcommand("hecke", cmd_hecke, "intersection numbers and commutativity", radius=4)
+    subcommand("gelfand", cmd_gelfand, "the full three-way verdict", radius=3, budget=True)
+    p = subcommand("dynamics", cmd_dynamics, "iteration of an end under a hyperbolic")
     p.add_argument("--auto", required=True, help="automorphism spec (transport:... or JSON file)")
     p.add_argument("--end", required=True, help="end spec 'prefix:period'")
     p.add_argument("--nmax", type=positive_int, default=8)
-    p.set_defaults(func=cmd_dynamics)
-
-    p = sub.add_parser("find-sr", help="find a hyperbolic element by pigeonhole")
-    common(p, radius_default=3)
-    p.set_defaults(func=cmd_find_sr)
+    subcommand("find-sr", cmd_find_sr, "find a hyperbolic element by pigeonhole", budget=True)
 
     return parser
 

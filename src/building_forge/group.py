@@ -19,39 +19,27 @@ sphere by sphere this way: one extension step per class, each ball word
 built once.
 
 Orbit tables carry canonical (lexicographically smallest) representatives so
-that they are independent of traversal order, and serialize to a versioned
-canonical JSON form that round-trips byte-identically.
+that they are independent of traversal order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import perms
 from .perms import Perm
 from .tree import (
     ROOT,
-    EXTEND_CONSTANT,
     Portrait,
-    TablePortrait,
     TreeEnd,
-    TreeVertex,
     Word,
-    ball_words,
     constant_portrait,
-    identity_portrait,
     parallel_transport,
     sphere_words,
 )
-
-ORBIT_TABLE_FORMAT_VERSION = 2
-
-
-class RadiusMismatch(ValueError):
-    """Transporter inputs must be balls of equal radius."""
 
 
 class ParseError(ValueError):
@@ -120,14 +108,6 @@ class LocalGroup:
             self._post[key] = got
         return got
 
-    def sigma_with(self, pins: Iterable[tuple[int, int]]) -> Perm | None:
-        """Lexicographically smallest element satisfying all pins, if any."""
-        pins = tuple(pins)
-        for p in self.elements:
-            if all(p[c] == e for c, e in pins):
-                return p
-        return None
-
     def hash_key(self) -> str:
         payload = f"{self.degree}|" + ";".join(
             perms.format_perm(p) for p in self.elements
@@ -163,35 +143,6 @@ def parse_local_group(text: str) -> LocalGroup:
         return LocalGroup(degree, gens)
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-@dataclass(frozen=True)
-class StabilizerElement:
-    """A base-vertex stabilizer with its certification radius."""
-
-    portrait: Portrait
-    certified_radius: int
-
-    @classmethod
-    def certify(cls, portrait: Portrait, F: LocalGroup, radius: int) -> "StabilizerElement":
-        if portrait.base_image != ROOT:
-            raise ValueError("stabilizer elements must fix the base vertex")
-        if not check_legal(portrait, F, radius):
-            raise ValueError("local permutations leave F within the certified radius")
-        return cls(portrait, radius)
-
-
-def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
-    """All local permutations in F and the legality cocycle, within radius."""
-    for w in ball_words(F.degree, radius):
-        v = TreeVertex(w)
-        sig = g.sigma(v)
-        if sig not in F:
-            return False
-        if w:
-            if sig[w[-1]] != g.sigma(TreeVertex(w[:-1]))[w[-1]]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -248,48 +199,6 @@ def k_orbit(
     return frozenset(orbit)
 
 
-def k_transporter(F: LocalGroup, src: Word, dst: Word) -> TablePortrait | None:
-    """A vertex stabilizer in U(F) with src -> dst, or None.
-
-    Chooses, at each vertex of the source path, the smallest element of F
-    satisfying the two path pins; off the path and beyond it the portrait
-    copies the parent permutation, which stays inside F.
-    """
-    if len(src) != len(dst):
-        return None
-    table: dict[Word, Perm] = {}
-    for i in range(len(src)):
-        pins = [(src[i], dst[i])]
-        if i >= 1:
-            pins.append((src[i - 1], dst[i - 1]))
-        sig = F.sigma_with(pins)
-        if sig is None:
-            return None
-        table[src[:i]] = sig
-    return TablePortrait(ROOT, table, F.degree, EXTEND_CONSTANT)
-
-
-@dataclass(frozen=True)
-class LabeledBall:
-    center: TreeVertex
-    radius: int
-
-
-def transporter(F: LocalGroup, src: LabeledBall, dst: LabeledBall) -> Portrait | None:
-    """A vertex stabilizer in U(F) carrying one labeled ball onto the other.
-
-    The centers anchor the correspondence; the element maps the source ball
-    onto the destination ball.  Returns None (absent) when the induced local
-    permutations cannot be completed inside F, i.e. when the centers lie in
-    different stabilizer orbits.
-    """
-    if src.radius != dst.radius:
-        raise RadiusMismatch(f"ball radii differ: {src.radius} != {dst.radius}")
-    if src.center == dst.center:
-        return identity_portrait(F.degree)
-    return k_transporter(F, src.center.word, dst.center.word)
-
-
 # ---------------------------------------------------------------------------
 # orbit tables
 
@@ -317,39 +226,12 @@ class OrbitTable:
     generator_hash: str
     radius: int
     classes: tuple[OrbitClass, ...]
-    _lookup: dict[Word, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._lookup:
-            for cls in self.classes:
-                for w in cls.members:
-                    self._lookup[w] = cls.id
-
-    def class_of(self, word: Word) -> int:
-        return self._lookup[word]
 
     def sphere_counts(self) -> list[int]:
         counts = [0] * (self.radius + 1)
         for cls in self.classes:
             counts[cls.distance] += 1
         return counts
-
-    def to_json(self) -> str:
-        """Canonical serialization; byte-identical across recomputations."""
-        doc = {
-            "format_version": ORBIT_TABLE_FORMAT_VERSION,
-            "degree": self.degree,
-            "generator_hash": self.generator_hash,
-            "radius": self.radius,
-            "classes": [
-                {
-                    "representative": " ".join(map(str, cls.representative)),
-                    "size": cls.size,
-                }
-                for cls in self.classes
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:

@@ -85,6 +85,9 @@ class StructureConstants:
         self.F = F
         self.radius_budget = radius
         self.table: OrbitTable = orbit_table(F, radius)
+        self._class_of: dict[Word, int] = {
+            w: c.id for c in self.table.classes for w in c.members
+        }
         self.orbits: list[PairOrbit] = [
             PairOrbit(c.id, c.representative, c.size, c.distance)
             for c in self.table.classes
@@ -96,10 +99,10 @@ class StructureConstants:
     # -- construction -------------------------------------------------------
     def _row(self, z: Word) -> Counter[tuple[int, int]]:
         """N[i][j][k] for the orbit k of z, keyed by (i, j), nonzero only."""
-        lookup = self.table.class_of
+        class_of = self._class_of
         steps = (self.radius_budget - len(z)) // 2
         return Counter(
-            (lookup(y), lookup(_transport(y, z)))
+            (class_of[y], class_of[_transport(y, z)])
             for y in _near_geodesic(self.F.degree, z, steps)
         )
 
@@ -147,7 +150,7 @@ class StructureConstants:
 
     def class_of_word(self, w: Word) -> int:
         try:
-            return self.table.class_of(w)
+            return self._class_of[w]
         except KeyError:
             raise OutOfBudget(f"word at distance {len(w)} exceeds radius budget")
 

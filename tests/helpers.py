@@ -50,6 +50,20 @@ def subgroups_of_symmetric(degree: int) -> list[LocalGroup]:
     return list(found.values())
 
 
+def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
+    """U(F)-legality oracle: every local permutation of ``g`` within the
+    ball of ``radius`` lies in F and satisfies the legality cocycle."""
+    for w in ball_words(F.degree, radius):
+        v = TreeVertex(w)
+        sig = g.sigma(v)
+        if sig not in F:
+            return False
+        if w:
+            if sig[w[-1]] != g.sigma(TreeVertex(w[:-1]))[w[-1]]:
+                return False
+    return True
+
+
 def dfs_k_orbit(F: LocalGroup, word: Word) -> frozenset[Word]:
     """The K-orbit of a sphere word by the depth-first search over suffix
     sets: the constrained images of ``word`` for every first image."""
@@ -99,7 +113,7 @@ def triple_loop_count(table, i: int, j: int, z) -> int:
     count = 0
     for y in table.classes[i].members:
         t = reduce_word(tuple(reversed(y)), z)
-        if len(t) == table.classes[j].distance and table.class_of(t) == j:
+        if t in table.classes[j].members:
             count += 1
     return count
 

@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, formats, cache, exit codes."""
+"""Command-line interface: subcommands, formats, flags, exit codes, no files written."""
 
 import json
 
@@ -16,7 +16,7 @@ def groups(tmp_path):
     s3.write_text(S3_DOC)
     c3 = tmp_path / "c3.json"
     c3.write_text(C3_DOC)
-    return {"s3": str(s3), "c3": str(c3), "cache": str(tmp_path / "cache")}
+    return {"s3": str(s3), "c3": str(c3)}
 
 
 def run(capsys, argv):
@@ -29,18 +29,18 @@ class TestOrbits:
     def test_s3_counts(self, groups, capsys):
         code, out, _ = run(
             capsys,
-            ["orbits", "--group", groups["s3"], "--radius", "4", "--cache", groups["cache"]],
+            ["orbits", "--group", groups["s3"], "--radius", "4"],
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["sphere_counts"] == [1, 1, 1, 1, 1]
-        assert doc["cache_hit"] is False
         assert doc["radius"] == 4
+        assert doc["format_version"] == 3
 
     def test_c3_counts_increase(self, groups, capsys):
         code, out, _ = run(
             capsys,
-            ["orbits", "--group", groups["c3"], "--radius", "4", "--cache", groups["cache"]],
+            ["orbits", "--group", groups["c3"], "--radius", "4"],
         )
         doc = json.loads(out)
         counts = doc["sphere_counts"]
@@ -49,55 +49,19 @@ class TestOrbits:
     def test_radius_zero(self, groups, capsys):
         code, out, _ = run(
             capsys,
-            ["orbits", "--group", groups["c3"], "--radius", "0", "--cache", groups["cache"]],
+            ["orbits", "--group", groups["c3"], "--radius", "0"],
         )
         assert json.loads(out)["sphere_counts"] == [1]
-
-    def test_cache_hit_and_byte_identity(self, groups, capsys):
-        args = ["orbits", "--group", groups["s3"], "--radius", "3", "--cache", groups["cache"]]
-        _, out1, _ = run(capsys, args)
-        path = json.loads(out1)["cache_path"]
-        first = open(path).read()
-        code, out2, _ = run(capsys, args)
-        assert json.loads(out2)["cache_hit"] is True
-        assert open(path).read() == first
-
-    def test_corrupt_cache_recomputed(self, groups, capsys):
-        args = ["orbits", "--group", groups["s3"], "--radius", "3", "--cache", groups["cache"]]
-        _, out1, _ = run(capsys, args)
-        path = json.loads(out1)["cache_path"]
-        good = open(path).read()
-        with open(path, "w") as fh:
-            fh.write('{"format_version": 99}')
-        code, out2, err = run(capsys, args)
-        assert code == 0
-        assert "recomputing" in err
-        assert json.loads(out2)["cache_hit"] is False
-        assert open(path).read() == good
-
-    def test_cache_parse_reserialize_byte_identical(self, groups, capsys):
-        args = ["orbits", "--group", groups["c3"], "--radius", "3", "--cache", groups["cache"]]
-        _, out, _ = run(capsys, args)
-        path = json.loads(out)["cache_path"]
-        text = open(path).read()
-        doc = json.loads(text)
-        assert json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" == text
-
-    def test_env_var_cache_dir(self, groups, capsys, tmp_path, monkeypatch):
-        envdir = tmp_path / "envcache"
-        monkeypatch.setenv("BUILDING_FORGE_CACHE", str(envdir))
-        run(capsys, ["orbits", "--group", groups["s3"], "--radius", "2"])
-        assert list(envdir.glob("orbits_*.json"))
 
     def test_csv_and_md_formats(self, groups, capsys):
         _, out, _ = run(
             capsys,
-            ["orbits", "--group", groups["c3"], "--radius", "2", "--cache", groups["cache"], "--format", "csv"],
+            ["orbits", "--group", groups["c3"], "--radius", "2", "--format", "csv"],
         )
         assert out.splitlines()[0] == "distance,representative,size"
         _, out, _ = run(
             capsys,
-            ["orbits", "--group", groups["c3"], "--radius", "2", "--cache", groups["cache"], "--format", "md"],
+            ["orbits", "--group", groups["c3"], "--radius", "2", "--format", "md"],
         )
         assert "| distance | representative | size |" in out
 
@@ -210,33 +174,22 @@ class TestFindSR:
     def test_finds_translation(self, groups, capsys):
         code, out, _ = run(
             capsys,
-            ["find-sr", "--group", groups["c3"], "--budget", "6", "--cache", groups["cache"]],
+            ["find-sr", "--group", groups["c3"], "--budget", "6"],
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["translation_length"] == 2
 
-    def test_negative_budget_rejected_at_parsing(self, groups, capsys, tmp_path):
-        cache = tmp_path / "never-written"
+    def test_negative_budget_rejected_at_parsing(self, groups, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["find-sr", "--group", groups["c3"], "--budget", "-1", "--cache", str(cache)])
+            main(["find-sr", "--group", groups["c3"], "--budget", "-1"])
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
-        assert not cache.exists()
-
-    def test_leaves_the_orbit_cache_alone(self, groups, capsys, tmp_path):
-        cache = tmp_path / "never-written"
-        code, _, _ = run(
-            capsys,
-            ["find-sr", "--group", groups["c3"], "--budget", "6", "--cache", str(cache)],
-        )
-        assert code == 0
-        assert not cache.exists()
 
     def test_budget_zero_exhausts(self, groups, capsys):
         code, _, err = run(
             capsys,
-            ["find-sr", "--group", groups["c3"], "--budget", "0", "--cache", groups["cache"]],
+            ["find-sr", "--group", groups["c3"], "--budget", "0"],
         )
         assert code == 3
         assert "budget" in err
@@ -266,5 +219,41 @@ class TestErrors:
         assert "depth" in err
 
     def test_negative_radius(self, groups, capsys):
-        code, _, _ = run(capsys, ["orbits", "--group", groups["s3"], "--radius", "-1"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["orbits", "--group", groups["s3"], "--radius", "-1"])
+        assert exc.value.code == 2
+        assert "--radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--budget", "3"],
+            ["dynamics", "--radius", "3", "--auto", "transport:0,1", "--end", ":0,2"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_rejected(self, groups, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--group", groups["c3"]] + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestWorkingDirectory:
+    def test_every_subcommand_leaves_it_unchanged(self, groups, capsys, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        c3 = ["--group", groups["c3"]]
+        orbits = ["orbits", *c3, "--radius", "3"]
+        _, first, _ = run(capsys, orbits)
+        _, second, _ = run(capsys, orbits)
+        assert first == second
+        for argv in (
+            ["hecke", *c3, "--radius", "3"],
+            ["gelfand", *c3, "--radius", "3"],
+            ["dynamics", *c3, "--auto", "transport:0,1", "--end", ":0,2", "--nmax", "2"],
+            ["find-sr", *c3, "--budget", "6"],
+        ):
+            code, _, _ = run(capsys, argv)
+            assert code == 0, argv
+        assert list(work.iterdir()) == []

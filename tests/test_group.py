@@ -1,8 +1,9 @@
-"""Universal groups: legality, stabilizer orbits, transporters, proxies."""
+"""Universal groups: legality, stabilizer orbits, proxies."""
 
 import pytest
 
 from helpers import (
+    check_legal,
     dfs_k_orbit,
     k_orbits_on_sphere,
     make_c3,
@@ -13,23 +14,15 @@ from helpers import (
     subgroups_of_symmetric,
 )
 from building_forge.group import (
-    LabeledBall,
     LocalGroup,
-    OrbitClass,
-    OrbitTable,
     ParseError,
-    RadiusMismatch,
-    StabilizerElement,
     _pair_orbit_count,
-    check_legal,
     enumerate_ends,
     fixed_end_check,
     k_orbit,
-    k_transporter,
     orbit_count_growth,
     orbit_table,
     parse_local_group,
-    transporter,
     two_transitivity_on_ends_proxy,
 )
 from building_forge.perms import compose, invert, transposition
@@ -255,42 +248,6 @@ class TestRelabeling:
                 assert invariants(LocalGroup(4, gens)) == expect, (F, pi)
 
 
-class TestTransporter:
-    def test_identity_on_equal_balls(self):
-        ball = LabeledBall(TreeVertex((0, 1)), 1)
-        g = transporter(S3, ball, ball)
-        assert g.image(TreeVertex((0, 1))) == TreeVertex((0, 1))
-
-    def test_radius_mismatch(self):
-        with pytest.raises(RadiusMismatch):
-            transporter(S3, LabeledBall(ROOT, 1), LabeledBall(ROOT, 2))
-
-    def test_same_orbit_witness_is_legal(self):
-        for F in (C3, S3):
-            for _, members in k_orbits_on_sphere(F, 3):
-                members = sorted(members)
-                src, dst = members[0], members[-1]
-                g = k_transporter(F, src, dst)
-                assert g is not None
-                assert g.image(TreeVertex(src)) == TreeVertex(dst)
-                assert check_legal(g, F, 4)
-
-    def test_different_orbit_absent(self):
-        (r1, m1), (r2, m2) = k_orbits_on_sphere(C3, 2)
-        assert k_transporter(C3, r1, r2) is None
-        assert (
-            transporter(C3, LabeledBall(TreeVertex(r1), 0), LabeledBall(TreeVertex(r2), 0))
-            is None
-        )
-
-    def test_certified_stabilizer_element(self):
-        g = k_transporter(C3, (0, 1), (1, 2))
-        elt = StabilizerElement.certify(g, C3, 3)
-        assert elt.certified_radius == 3
-        with pytest.raises(ValueError):
-            StabilizerElement.certify(parallel_transport((0, 1), 3), C3, 3)
-
-
 class TestFixedEnds:
     def test_transitive_families_fix_nothing(self):
         candidates = enumerate_ends(3, max_prefix=1, max_period=2)
@@ -306,18 +263,6 @@ class TestFixedEnds:
 
 
 class TestOrbitTableSerialization:
-    def test_round_trip_is_byte_identical(self):
-        t1 = orbit_table(C3, 3).to_json()
-        t2 = orbit_table(C3, 3).to_json()
-        assert t1 == t2
-        import json
-
-        doc = json.loads(t1)
-        assert doc["format_version"] == 2
-        assert doc["degree"] == 3
-        assert len(doc["classes"]) == 1 + 1 + 2 + 4
-        assert "pair_classes" not in doc
-
     def test_sphere_counts(self):
         assert orbit_table(S3, 4).sphere_counts() == [1, 1, 1, 1, 1]
 
@@ -353,13 +298,11 @@ class TestOrbitTableAgainstSphereScan:
             got = [(c.distance, c.representative, c.members) for c in table.classes]
             assert got == expect, (F, radius)
             assert [c.id for c in table.classes] == list(range(len(expect)))
-            scan = OrbitTable(
+            assert (table.degree, table.generator_hash, table.radius) == (
                 F.degree,
                 F.hash_key(),
                 radius,
-                tuple(OrbitClass(i, *cls) for i, cls in enumerate(expect)),
-            )
-            assert table.to_json() == scan.to_json(), (F, radius)
+            ), (F, radius)
 
     def test_extension_step_matches_the_full_orbit(self, balls):
         for F, radius in balls:
