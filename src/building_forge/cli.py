@@ -193,21 +193,24 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
         raise ParseError(f"bad automorphism spec {spec!r}: {exc}")
 
 
-def parse_end(spec: str) -> TreeEnd:
+def parse_end(spec: str, degree: int) -> TreeEnd:
     """Ends are written "<prefix>:<period>" with comma/space separated colors."""
     if ":" not in spec:
         raise ParseError(f"bad end spec {spec!r}: expected 'prefix:period'")
     pre, per = spec.split(":", 1)
     try:
-        return TreeEnd(parse_word(pre), parse_word(per))
+        end = TreeEnd(parse_word(pre), parse_word(per))
     except ValueError as exc:
         raise ParseError(f"bad end spec {spec!r}: {exc}")
+    if any(c >= degree for c in end.prefix + end.period):
+        raise ParseError(f"bad end spec {spec!r}: colors must be below the degree {degree}")
+    return end
 
 
 def cmd_dynamics(args) -> int:
     degree = load_group(args.group).degree
     a = parse_automorphism(args.auto, degree)
-    xi = parse_end(args.end)
+    xi = parse_end(args.end, degree)
     cls = tree.classify_isometry(a, tree.default_search_radius(a))
     if not cls.is_hyperbolic:
         raise NotHyperbolic("dynamics needs a hyperbolic automorphism")

@@ -3,20 +3,14 @@
 For a finite permutation group F on the colors, U(F) is the group of all
 portraits whose local permutations lie in F.  The stabilizer K of the base
 vertex is never enumerated element by element (it is a projective limit);
-every K-level question is answered by constraint propagation on color words:
-a vertex-stabilizing automorphism moves a sphere word c1 c2 ... cn to
-e1 e2 ... en where e1 = s0(c1) for an arbitrary s0 in F and, at each later
-position, the local permutation s in F is pinned by s(ci) = ei and emits
-e_{i+1} = s(c_{i+1}).
+its orbits on color words grow one letter at a time.
 
-K-orbits grow one letter at a time.  If g in K moves w to u, its local
-permutation at w is any s in F with s(w[-1]) = u[-1], so the orbit of
-w + (c,) is {u + (e,) : u in orbit(w), e in F.post(w[-1], u[-1], c)}.
-Every orbit on sphere n+1 is therefore one extension step of an orbit on
-sphere n, and two children r + (c,), r + (c',) of a representative r share
-an orbit iff c' lies in F.post(r[-1], r[-1], c).  Orbit tables are grown
-sphere by sphere this way: one extension step per class, each ball word
-built once.
+If g in K moves w to u, its local permutation at w is any s in F with
+s(w[-1]) = u[-1], so the orbit of w + (c,) is {u + (e,) : u in orbit(w),
+e in F.post(w[-1], u[-1], c)}.  Two children r + (c,), r + (c',) of a
+representative r thus share an orbit iff c' lies in F.post(r[-1], r[-1], c).
+This split rule, ``_child_colors``, grows the orbit tables and counts the
+orbits on spheres and on pairs of arms without a table.
 
 Orbit tables carry canonical (lexicographically smallest) representatives so
 that they are independent of traversal order.
@@ -72,19 +66,12 @@ class LocalGroup:
         self.generators: tuple[Perm, ...] = tuple(gens)
         self.elements: tuple[Perm, ...] = tuple(sorted(perms.closure(gens, degree)))
         self._element_set = frozenset(self.elements)
-        self.transitive = self._orbit_of(0) == set(range(degree))
-        self.two_transitive = self.transitive and self._pair_transitive()
+        # the orbits of the color 0 and of the color pair (0, 1)
+        self.transitive = len({p[0] for p in self.elements}) == degree
+        pairs = {(p[0], p[1]) for p in self.elements}
+        self.two_transitive = len(pairs) == degree * (degree - 1)
         self._post: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
-
-    def _orbit_of(self, x: int) -> set[int]:
-        return {p[x] for p in self.elements}
-
-    def _pair_transitive(self) -> bool:
-        d = self.degree
-        target = d * (d - 1)
-        pairs = {(p[0], p[1]) for p in self.elements}
-        return len(pairs) == target
 
     def __contains__(self, p: Perm) -> bool:
         return tuple(p) in self._element_set
@@ -147,28 +134,6 @@ def parse_local_group(text: str) -> LocalGroup:
 
 # ---------------------------------------------------------------------------
 # K-orbits on sphere words
-
-
-def _constrained_images(F: LocalGroup, word: Word, e_first: int) -> set[Word]:
-    """Image words of ``word`` under vertex stabilizers mapping the first
-    letter to ``e_first``."""
-    n = len(word)
-    memo: dict[tuple[int, int], set[Word]] = {}
-
-    def suffixes(i: int, e_prev: int) -> set[Word]:
-        if i == n:
-            return {()}
-        key = (i, e_prev)
-        got = memo.get(key)
-        if got is None:
-            got = set()
-            for e in F.post(word[i - 1], e_prev, word[i]):
-                for tail in suffixes(i + 1, e):
-                    got.add((e,) + tail)
-            memo[key] = got
-        return got
-
-    return {(e_first,) + tail for tail in suffixes(1, e_first)}
 
 
 def k_orbit(
@@ -234,15 +199,27 @@ class OrbitTable:
         return counts
 
 
+def _child_colors(F: LocalGroup, last: int | None) -> tuple[int, ...]:
+    """The least color of each part F.post(last, last, c) into which the
+    children of a vertex entered by ``last`` split; at the base vertex
+    (``last`` None) the parts are F.images_of(c)."""
+    minima: list[int] = []
+    placed: set[int] = set()
+    for c in range(F.degree):
+        if c in placed or c == last:
+            continue
+        placed.update(F.images_of(c) if last is None else F.post(last, last, c))
+        minima.append(c)
+    return tuple(minima)
+
+
 def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
     """The K-orbits on the ball of ``radius``, grown sphere by sphere.
 
-    Each class r on sphere n splits its children r + (c,) by the orbits of
-    the stabilizer of r[-1] in F (of F itself at the base vertex); each part
-    is one class on sphere n+1, whose representative r + (min part,) is its
-    lexicographic minimum and whose members are one ``k_orbit`` extension
-    step from r's members.  Cost: one extension step per class, each ball
-    word built once.
+    Each class r on sphere n has one child class r + (c,) on sphere n+1 for
+    each c in ``_child_colors(F, r[-1])``; r + (c,) is its lexicographic
+    minimum, and its members are one ``k_orbit`` extension step from r's
+    members.  Cost: one extension step per class, each ball word built once.
     """
     classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
     sphere = classes
@@ -250,13 +227,8 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
         children: list[tuple[Word, frozenset[Word]]] = []
         for cls in sphere:
             r = cls.representative
-            placed: set[int] = set()
-            for c in range(F.degree):
-                if c in placed or (r and c == r[-1]):
-                    continue
-                part = F.post(r[-1], r[-1], c) if r else F.images_of(c)
-                placed.update(part)
-                children.append((r + (part[0],), cls.members))
+            for c in _child_colors(F, r[-1] if r else None):
+                children.append((r + (c,), cls.members))
         children.sort(key=lambda child: child[0])
         sphere = [
             OrbitClass(len(classes) + i, n, rep, k_orbit(F, rep, parent))
@@ -289,10 +261,26 @@ class GrowthReport:
         return self.verdict == "stabilized"
 
 
+def _arm_classes(F: LocalGroup, n: int) -> list[int]:
+    """c[a] for each color a: the classes of depth-n words starting with a
+    under the stabilizer of the vertex (a,) in K.  By the split rule c[a] is
+    1 at n = 1 and the sum of c[b] one depth less over b in
+    ``_child_colors(F, a)``."""
+    children = [_child_colors(F, a) for a in range(F.degree)]
+    c = [1] * F.degree
+    for _ in range(n - 1):
+        c = [sum(c[b] for b in kids) for kids in children]
+    return c
+
+
 def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
+    """K-orbits per sphere: sphere n >= 1 has the sum of c_a over a in
+    ``_child_colors(F, None)``; no table is built."""
     if radius < 2:
         raise ValueError("the growth window needs radius >= 2")
-    counts = tuple(orbit_table(F, radius).sphere_counts())
+    roots = _child_colors(F, None)
+    arms = [_arm_classes(F, n) for n in range(1, radius + 1)]
+    counts = (1,) + tuple(sum(c[a] for a in roots) for c in arms)
     window = counts[radius - 2 : radius + 1]
     if window[0] == window[1] == window[2]:
         verdict = "stabilized"
@@ -305,22 +293,13 @@ def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
 
 def _pair_orbit_count(F: LocalGroup, n: int) -> int:
     """Number of K-orbits on ordered pairs of depth-n words with distinct
-    first letters: the sum of c_a * c_b over the F-orbits on ordered pairs
-    of distinct colors (a, b), where c_a counts the arm classes in cone(a)."""
-    arm_classes = [0] * F.degree
-    seen: set[Word] = set()
-    for w in sphere_words(F.degree, n):
-        if w not in seen:
-            arm_classes[w[0]] += 1
-            seen |= _constrained_images(F, w, w[0])
-    colors = range(F.degree)
-    reps = {
-        min((p[a], p[b]) for p in F.elements)
-        for a in colors
-        for b in colors
-        if a != b
-    }
-    return sum(arm_classes[a] * arm_classes[b] for a, b in reps)
+    first letters.  Once the first letters (a, b) are fixed, each arm is
+    constrained by its own first image alone, so the orbits are the c_a * c_b
+    pairs of arm classes, summed over the least pair (a, b) of each F-orbit
+    on ordered pairs of distinct colors: a in ``_child_colors(F, None)`` and
+    b in ``_child_colors(F, a)``."""
+    c = _arm_classes(F, n)
+    return sum(c[a] * c[b] for a in _child_colors(F, None) for b in _child_colors(F, a))
 
 
 def two_transitivity_on_ends_proxy(F: LocalGroup, n: int) -> bool:
@@ -329,17 +308,9 @@ def two_transitivity_on_ends_proxy(F: LocalGroup, n: int) -> bool:
     True iff U(F) is transitive on ordered pairs of depth-n vertices at
     mutual distance 2n.  The midpoint is normalized to the base vertex by
     vertex transitivity, so this asks whether K, the base-vertex stabilizer,
-    has one orbit on pairs (u, v) of depth-n words with u[0] != v[0].
-
-    The pair orbits are counted, never enumerated.  The root permutation s0
-    pins only the first letters; below them each arm is constrained by its
-    own first image alone, so the stabilizer of the colors (a, b) acts on
-    cone(a) x cone(b) as a product.  Its orbits there are pairs of arm
-    classes: the parts of cone(a) under the stabilizer of the vertex a.
-    Hence the K-orbits number sum c_a * c_b over the F-orbits on ordered
-    pairs of distinct colors, with c_a the arm classes in cone(a), and the
-    proxy holds iff that sum is 1.  Cost: one ``_constrained_images`` per
-    arm class, each sphere word touched once; memory is one sphere.
+    has one orbit on pairs (u, v) of depth-n words with u[0] != v[0].  The
+    orbits are counted by ``_pair_orbit_count``, never enumerated.  Cost:
+    O(n * d^2) after the ``post`` cache fills, with no sphere held.
     """
     if n < 2:
         raise ValueError("the proxy needs depth n >= 2")

@@ -506,6 +506,8 @@ class TablePortrait(Portrait):
         tbl: dict[Word, Perm] = {}
         for key, perm in (table or {}).items():
             w = key.word if isinstance(key, TreeVertex) else tuple(key)
+            if any(not 0 <= c < degree for c in w):
+                raise ValueError(f"table key {w} uses colors outside the degree")
             p = tuple(perm)
             if sorted(p) != list(range(degree)):
                 raise ValueError(f"table entry at {w} is not a degree-{degree} permutation")

@@ -5,10 +5,11 @@ check: brute-force counts over balls, direct deep-vertex evaluation for end
 images, exhaustive enumeration of constrained local data.
 """
 
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
-from building_forge.group import LocalGroup, _constrained_images, k_orbit
+from building_forge.group import LocalGroup, k_orbit
 from building_forge.tree import (
     ROOT,
     Portrait,
@@ -38,16 +39,18 @@ def make_s4() -> LocalGroup:
     return LocalGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
 
 
-def subgroups_of_symmetric(degree: int) -> list[LocalGroup]:
+@cache
+def subgroups_of_symmetric(degree: int) -> tuple[LocalGroup, ...]:
     """Every 2-generated subgroup of S_degree; for degree <= 4 that is all
-    of them (6 for S3, 30 for S4), in first-found order."""
+    of them (6 for S3, 30 for S4), in first-found order.  Built once per
+    degree and shared by every caller."""
     found: dict[tuple, LocalGroup] = {}
     # (a, b) and (b, a) generate the same group, and the earlier of the two
     # comes first in the nested-loop order, so unordered pairs suffice.
     for a, b in combinations_with_replacement(permutations(range(degree)), 2):
         F = LocalGroup(degree, [a, b])
         found.setdefault(F.elements, F)
-    return list(found.values())
+    return tuple(found.values())
 
 
 def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
@@ -62,6 +65,28 @@ def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
             if sig[w[-1]] != g.sigma(TreeVertex(w[:-1]))[w[-1]]:
                 return False
     return True
+
+
+def _constrained_images(F: LocalGroup, word: Word, e_first: int) -> set[Word]:
+    """Image words of ``word`` under vertex stabilizers mapping the first
+    letter to ``e_first``."""
+    n = len(word)
+    memo: dict[tuple[int, int], set[Word]] = {}
+
+    def suffixes(i: int, e_prev: int) -> set[Word]:
+        if i == n:
+            return {()}
+        key = (i, e_prev)
+        got = memo.get(key)
+        if got is None:
+            got = set()
+            for e in F.post(word[i - 1], e_prev, word[i]):
+                for tail in suffixes(i + 1, e):
+                    got.add((e,) + tail)
+            memo[key] = got
+        return got
+
+    return {(e_first,) + tail for tail in suffixes(1, e_first)}
 
 
 def dfs_k_orbit(F: LocalGroup, word: Word) -> frozenset[Word]:

@@ -160,6 +160,25 @@ class TestDynamics:
         assert code == 0
         assert json.loads(out)["translation_length"] == 1
 
+    @pytest.mark.parametrize("end", [":0,5", "9:0,1"])
+    def test_end_color_outside_the_degree_rejected(self, groups, capsys, end):
+        code, _, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", "transport:0,1", "--end", end],
+        )
+        assert code == 2
+        assert "error: bad end spec" in err
+
+    @pytest.mark.parametrize("key", ["5", "0 5", "0 -1"])
+    def test_table_key_color_outside_the_degree_rejected(self, groups, capsys, tmp_path, key):
+        spec = tmp_path / "bad-key.json"
+        spec.write_text(json.dumps({"base_image": "1", "exceptions": {key: "1 0 2"}}))
+        code, _, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", str(spec), "--end", ":0,2"],
+        )
+        assert code == 2
+        assert "error:" in err and "outside the degree" in err
 
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nmax_below_one_rejected_at_parsing(self, groups, capsys, nmax):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import make_c3, make_s3, make_s4, make_trivial
+from helpers import make_c3, make_s3, make_s4, make_trivial, subgroups_of_symmetric
 from building_forge.gelfand import (
     certify_disjoint,
     evaluate_noncommutativity,
@@ -161,6 +161,19 @@ class TestMainTheoremReport:
         ):
             assert key in doc
         assert doc["witness"]["m"] >= 1
+
+    def test_every_small_group(self):
+        """Every subgroup of S3 and S4 at depths 3-5, every 2-generated
+        subgroup of S5 at depths 3-4: each report is consistent, and its
+        strong side is Burger-Mozes' 2-transitivity of F."""
+        cases = [(F, d) for F in subgroups_of_symmetric(3) for d in (3, 4, 5)]
+        cases += [(F, d) for F in subgroups_of_symmetric(4) for d in (3, 4, 5)]
+        cases += [(F, d) for F in subgroups_of_symmetric(5) for d in (3, 4)]
+        assert len(cases) == 3 * 36 + 2 * 156
+        for F, depth in cases:
+            report = main_theorem_report(F, depth)
+            assert report.consistent, (F, depth)
+            assert report.st_boundary == F.two_transitive, (F, depth)
 
     def test_trivial_group_flagged(self):
         v = main_theorem_report(TRIV, 3)

@@ -180,6 +180,28 @@ class TestOrbits:
                 assert len(k_orbits_on_sphere(F, n)) == 1
 
 
+class TestCountsBeyondTheTable:
+    """Closed forms at depths no orbit table reaches."""
+
+    def test_trivial_group_spheres(self):
+        # K is trivial, so every word is its own orbit
+        for degree in (3, 4, 5):
+            q = degree - 1
+            counts = orbit_count_growth(make_trivial(degree), 30).counts
+            assert counts == (1,) + tuple((q + 1) * q ** (n - 1) for n in range(1, 31))
+
+    def test_c5_spheres(self):
+        # C5 is regular: one class on sphere 1, and every point stabilizer is
+        # trivial, so each class has four child classes
+        counts = orbit_count_growth(LocalGroup(5, [(1, 2, 3, 4, 0)]), 40).counts
+        assert counts == (1,) + tuple(4 ** (n - 1) for n in range(1, 41))
+
+    def test_trivial_group_pairs(self):
+        for degree in (3, 4, 5):
+            q = degree - 1
+            assert _pair_orbit_count(make_trivial(degree), 20) == (q + 1) * q**39
+
+
 class TestTwoTransitivityProxy:
     def test_examples(self):
         assert two_transitivity_on_ends_proxy(S3, 3)
@@ -303,6 +325,7 @@ class TestOrbitTableAgainstSphereScan:
                 F.hash_key(),
                 radius,
             ), (F, radius)
+            assert orbit_count_growth(F, radius).counts == tuple(table.sphere_counts())
 
     def test_extension_step_matches_the_full_orbit(self, balls):
         for F, radius in balls:

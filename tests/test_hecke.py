@@ -212,6 +212,23 @@ def triple_loop_verdict(sc, tensor) -> HeckeVerdict:
     return HeckeVerdict(sc.radius_budget, True)
 
 
+class TestGelfandLemma:
+    """Every pair orbit its own transpose, a commutative orbit algebra and a
+    2-transitive F must agree, on every subgroup of S3 (R = 6) and S4
+    (R = 5) and every 2-generated subgroup of S5 (R = 4)."""
+
+    def test_symmetric_commutative_and_two_transitive_agree(self):
+        cases = [(F, 6) for F in subgroups_of_symmetric(3)]
+        cases += [(F, 5) for F in subgroups_of_symmetric(4)]
+        cases += [(F, 4) for F in subgroups_of_symmetric(5)]
+        assert len(cases) == 192
+        for F, radius in cases:
+            sc = intersection_numbers(F, radius)
+            symmetric = all(sc.transpose(o.id) == o.id for o in sc.orbits)
+            commutative = commutativity_of(sc).commutative
+            assert symmetric == commutative == F.two_transitive, (F, radius)
+
+
 class TestAgainstTripleLoop:
     def test_every_subgroup_enumerated(self):
         assert len(SUBGROUP_CASES) == 6 + 30
