@@ -73,7 +73,8 @@ def word_str(w) -> str:
 
 
 def cmd_orbits(args) -> int:
-    table = group.orbit_table(load_group(args.group), args.radius)
+    F = load_group(args.group)
+    table = group.orbit_table(F, args.radius)
     rows = [
         {
             "distance": c.distance,
@@ -87,8 +88,8 @@ def cmd_orbits(args) -> int:
             {
                 "format_version": 3,
                 "command": "orbits",
-                "degree": table.degree,
-                "generator_hash": table.generator_hash,
+                "degree": F.degree,
+                "generator_hash": F.hash_key(),
                 "radius": table.radius,
                 "sphere_counts": table.sphere_counts(),
                 "classes": rows,
@@ -121,7 +122,7 @@ def cmd_hecke(args) -> int:
                         "id": o.id,
                         "representative": word_str(o.representative),
                         "distance": o.distance,
-                        "valency": o.valency,
+                        "valency": o.size,
                     }
                     for o in sc.orbits
                 ],
@@ -202,8 +203,8 @@ def parse_end(spec: str, degree: int) -> TreeEnd:
         end = TreeEnd(parse_word(pre), parse_word(per))
     except ValueError as exc:
         raise ParseError(f"bad end spec {spec!r}: {exc}")
-    if any(c >= degree for c in end.prefix + end.period):
-        raise ParseError(f"bad end spec {spec!r}: colors must be below the degree {degree}")
+    if any(not 0 <= c < degree for c in end.prefix + end.period):
+        raise ParseError(f"bad end spec {spec!r}: colors must lie in 0..{degree - 1}")
     return end
 
 

@@ -38,6 +38,7 @@ from .tree import (
     ROOT,
     BudgetExhausted,
     Portrait,
+    TreeApartment,
     TreeEnd,
     TreeVertex,
     Word,
@@ -78,7 +79,7 @@ def strong_transitivity_verdict(F: LocalGroup, depth: int) -> StrongTransitivity
 # pigeonhole oracles along a line
 
 
-def line_pigeonhole_oracles(F: LocalGroup, line, window: int):
+def line_pigeonhole_oracles(F: LocalGroup, line: TreeApartment, window: int):
     """Label and transporter oracles for the pigeonhole walk.
 
     The group orbit of every vertex is a single class (the color-preserving
@@ -87,27 +88,17 @@ def line_pigeonhole_oracles(F: LocalGroup, line, window: int):
     Equal labels make the color-preserving transport between the positions
     map the windows onto each other, which lands in U(F) for every F.
     """
-
-    is_line = hasattr(line, "coordinate_of")
-
-    def position_of(v: TreeVertex) -> int:
-        if is_line:
-            t = line.coordinate_of(v)
-            if t is None:
-                raise ValueError("marked vertex is not on the line")
-            return t
-        return len(v.word)  # ray from the base vertex
+    L = line.branch_depth
 
     def letter_at(s: int) -> int:
         # color of the edge between positions s and s+1
-        a = line.vertex_at(s)
-        b = line.vertex_at(s + 1)
-        return b.word[-1] if len(b.word) > len(a.word) else a.word[-1]
+        return line.end_plus.letter(L + s) if s >= 0 else line.end_minus.letter(L - s - 1)
 
     def labels(v: TreeVertex) -> Word:
-        t = position_of(v)
-        lo = t - window if is_line else max(0, t - window)
-        return tuple(letter_at(s) for s in range(lo, t + window))
+        t = line.coordinate_of(v)
+        if t is None:
+            raise ValueError("marked vertex is not on the line")
+        return tuple(letter_at(s) for s in range(t - window, t + window))
 
     def transporter(src: TreeVertex, dst: TreeVertex):
         return transport_between(src, dst, F.degree)
@@ -115,10 +106,9 @@ def line_pigeonhole_oracles(F: LocalGroup, line, window: int):
     return labels, transporter
 
 
-def find_strongly_regular(F: LocalGroup, budget: int, line=None) -> Portrait:
+def find_strongly_regular(F: LocalGroup, budget: int) -> Portrait:
     """Produce a certified hyperbolic element of U(F) by pigeonhole."""
-    if line is None:
-        line = standard_apartment()
+    line = standard_apartment()
     labels, transporter = line_pigeonhole_oracles(F, line, window=budget + 2)
     return pigeonhole_find_hyperbolic(line, labels, transporter, budget)
 

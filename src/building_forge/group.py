@@ -187,8 +187,6 @@ class OrbitTable:
     ``classes`` partition the ball, ordered by (distance, representative).
     """
 
-    degree: int
-    generator_hash: str
     radius: int
     classes: tuple[OrbitClass, ...]
 
@@ -235,7 +233,7 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
             for i, (rep, parent) in enumerate(children)
         ]
         classes.extend(sphere)
-    return OrbitTable(F.degree, F.hash_key(), radius, tuple(classes))
+    return OrbitTable(radius, tuple(classes))
 
 
 # ---------------------------------------------------------------------------

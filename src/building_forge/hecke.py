@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .group import LocalGroup, OrbitTable, orbit_table
+from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
 from .tree import Word, reduce_word
 
 FORMAT_VERSION = 1
@@ -39,16 +38,6 @@ FORMAT_VERSION = 1
 
 class OutOfBudget(ValueError):
     """A requested entry or convolution exceeds the computed radius budget."""
-
-
-@dataclass(frozen=True)
-class PairOrbit:
-    """A G-orbit on ordered vertex pairs, anchored at the base vertex."""
-
-    id: int
-    representative: Word
-    valency: int
-    distance: int
 
 
 def _transport(y: Word, z: Word) -> Word:
@@ -85,15 +74,13 @@ class StructureConstants:
         self.F = F
         self.radius_budget = radius
         self.table: OrbitTable = orbit_table(F, radius)
+        # pair orbit i is the K-orbit of its second vertex
+        self.orbits: tuple[OrbitClass, ...] = self.table.classes
         self._class_of: dict[Word, int] = {
-            w: c.id for c in self.table.classes for w in c.members
+            w: c.id for c in self.orbits for w in c.members
         }
-        self.orbits: list[PairOrbit] = [
-            PairOrbit(c.id, c.representative, c.size, c.distance)
-            for c in self.table.classes
-        ]
-        self._tensor: dict[tuple[int, int, int], int] = {}
-        self._by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # (i, j) -> {k: N[i][j][k]}, nonzero entries only, k ascending
+        self._products: dict[tuple[int, int], dict[int, int]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -114,9 +101,8 @@ class StructureConstants:
                     "intersection number depends on the representative; "
                     "orbit table is inconsistent"
                 )
-            for (i, j), n in row.items():
-                self._tensor[(i, j, k.id)] = n
-                self._by_pair.setdefault((i, j), []).append((k.id, n))
+            for pair, n in row.items():
+                self._products.setdefault(pair, {})[k.id] = n
 
     # -- queries -------------------------------------------------------------
     def in_budget(self, i: int, j: int) -> bool:
@@ -128,22 +114,15 @@ class StructureConstants:
                 f"entry ({i},{j},{k}) needs radius "
                 f"{self.orbits[i].distance + self.orbits[j].distance} > {self.radius_budget}"
             )
-        return self._tensor.get((i, j, k), 0)
-
-    def nonzero(self) -> Mapping[tuple[int, int, int], int]:
-        """The stored entries, (i, j, k) -> N[i][j][k] != 0, read-only.
-
-        Every key is in budget; an in-budget triple that is absent is 0.
-        """
-        return MappingProxyType(self._tensor)
+        return self._products.get((i, j), {}).get(k, 0)
 
     def products_of(self, i: int, j: int) -> list[tuple[int, int]]:
         if not self.in_budget(i, j):
             raise OutOfBudget(f"pair ({i},{j}) exceeds the radius budget")
-        return list(self._by_pair.get((i, j), ()))
+        return list(self._products.get((i, j), {}).items())
 
     def valency(self, i: int) -> int:
-        return self.orbits[i].valency
+        return self.orbits[i].size
 
     def distance(self, i: int) -> int:
         return self.orbits[i].distance
@@ -158,7 +137,9 @@ class StructureConstants:
         return self.class_of_word(tuple(reversed(self.orbits[i].representative)))
 
     def entries(self) -> list[tuple[int, int, int, int]]:
-        return sorted((i, j, k, n) for (i, j, k), n in self._tensor.items())
+        return sorted(
+            (i, j, k, n) for (i, j), row in self._products.items() for k, n in row.items()
+        )
 
 
 def intersection_numbers(F: LocalGroup, radius: int) -> StructureConstants:
@@ -233,19 +214,24 @@ def commutativity_of(sc: StructureConstants) -> HeckeVerdict:
     """The lexicographically first (i < j, k) with N_ij^k != N_ji^k, if any.
 
     An asymmetric triple has a nonzero entry on at least one side, so only
-    the stored entries are scanned.
+    the pairs with a stored row are scanned: the rows of (i, j) and (j, i)
+    are compared whole, and k is looked for in the first unequal pair only.
     """
-    tensor = sc.nonzero()
-    asymmetric = [
-        (min(i, j), max(i, j), k)
-        for (i, j, k), n in tensor.items()
-        if i != j and n != tensor.get((j, i, k), 0)
-    ]
-    if not asymmetric:
+    products, empty = sc._products, {}
+    first = min(
+        (
+            (i, j) if i < j else (j, i)
+            for (i, j), row in products.items()
+            if i != j and row != products.get((j, i), empty)
+        ),
+        default=None,
+    )
+    if first is None:
         return HeckeVerdict(sc.radius_budget, True)
-    i, j, k = min(asymmetric)
-    witness = (i, j, k, tensor.get((i, j, k), 0), tensor.get((j, i, k), 0))
-    return HeckeVerdict(sc.radius_budget, False, witness)
+    i, j = first
+    ij, ji = products.get((i, j), empty), products.get((j, i), empty)
+    k = min(k for k in ij.keys() | ji.keys() if ij.get(k) != ji.get(k))
+    return HeckeVerdict(sc.radius_budget, False, (i, j, k, ij.get(k, 0), ji.get(k, 0)))
 
 
 def commutativity_report(F: LocalGroup, radius: int) -> HeckeVerdict:

@@ -404,9 +404,6 @@ class Portrait:
         return out
 
     # -- derived geometry ----------------------------------------------------
-    def fixes_vertex(self, v: TreeVertex) -> bool:
-        return self.image(v) == v
-
     def displacement(self, v: TreeVertex) -> int:
         return self.image(v).distance(v)
 

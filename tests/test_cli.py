@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, flags, exit codes, no files written."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import building_forge
 from building_forge.cli import main
 
 S3_DOC = '{"degree": 3, "generators": ["1 0 2", "0 2 1"]}\n'
@@ -160,11 +165,12 @@ class TestDynamics:
         assert code == 0
         assert json.loads(out)["translation_length"] == 1
 
-    @pytest.mark.parametrize("end", [":0,5", "9:0,1"])
+    @pytest.mark.parametrize("end", [":0,5", "9:0,1", "-1:0,1", ":0,-2"])
     def test_end_color_outside_the_degree_rejected(self, groups, capsys, end):
+        # --end=SPEC, since argparse reads a separate "-1:0,1" as a flag
         code, _, err = run(
             capsys,
-            ["dynamics", "--group", groups["c3"], "--auto", "transport:0,1", "--end", end],
+            ["dynamics", "--group", groups["c3"], "--auto", "transport:0,1", f"--end={end}"],
         )
         assert code == 2
         assert "error: bad end spec" in err
@@ -276,3 +282,31 @@ class TestWorkingDirectory:
             code, _, _ = run(capsys, argv)
             assert code == 0, argv
         assert list(work.iterdir()) == []
+
+
+class TestImports:
+    """The package imports no submodule, so a command loads only what it runs."""
+
+    def loaded(self, statement):
+        """The building_forge submodules a fresh interpreter holds after it."""
+        src = str(Path(building_forge.__file__).parents[1])
+        code = (
+            f"import sys; {statement}; "
+            "print(*sorted(m for m in sys.modules if m.startswith('building_forge.')))"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert got.returncode == 0, got.stderr
+        return got.stdout.split()
+
+    def test_package_loads_no_submodule(self):
+        assert self.loaded("import building_forge") == []
+
+    def test_cli_leaves_coxeter_out(self):
+        loaded = self.loaded("import building_forge.cli")
+        assert "building_forge.cli" in loaded
+        assert "building_forge.coxeter" not in loaded

@@ -320,11 +320,7 @@ class TestOrbitTableAgainstSphereScan:
             got = [(c.distance, c.representative, c.members) for c in table.classes]
             assert got == expect, (F, radius)
             assert [c.id for c in table.classes] == list(range(len(expect)))
-            assert (table.degree, table.generator_hash, table.radius) == (
-                F.degree,
-                F.hash_key(),
-                radius,
-            ), (F, radius)
+            assert table.radius == radius, (F, radius)
             assert orbit_count_growth(F, radius).counts == tuple(table.sphere_counts())
 
     def test_extension_step_matches_the_full_orbit(self, balls):

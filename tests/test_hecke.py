@@ -25,6 +25,7 @@ from building_forge.hecke import (
     convolve,
     intersection_numbers,
 )
+from building_forge.perms import compose, invert, transposition
 from building_forge.tree import ball_words, word_distance
 
 C3 = make_c3()
@@ -53,7 +54,7 @@ class TestPairOrbits:
 
     def test_diagonal_orbit(self):
         orb = intersection_numbers(S3, 2).orbits[0]
-        assert orb.distance == 0 and orb.valency == 1 and orb.representative == ()
+        assert orb.distance == 0 and orb.size == 1 and orb.representative == ()
 
 
 class TestIntersectionNumbers:
@@ -243,12 +244,38 @@ class TestAgainstTripleLoop:
             sc = intersection_numbers(F, radius)
             tensor, by_pair = triple_loop_tensor(sc.table)
             assert sc.entries() == sorted((i, j, k, n) for (i, j, k), n in tensor.items())
-            assert dict(sc.nonzero()) == tensor
             for i in sc.orbits:
                 for j in sc.orbits:
                     if sc.in_budget(i.id, j.id):
                         assert sc.products_of(i.id, j.id) == by_pair.get((i.id, j.id), [])
             assert commutativity_of(sc) == triple_loop_verdict(sc, tensor)
+
+
+class TestTensorRelabeling:
+    """Conjugating F by a color permutation pi relabels every word by pi, so
+    it permutes the pair orbits and the tensor: with sigma(i) the orbit of
+    pi(rep_i) under pi F pi^-1, N'[sigma i][sigma j][sigma k] = N[i][j][k]."""
+
+    def test_conjugate_tensor_is_permuted(self):
+        cases = [(F, 5, [(0, 1), (1, 2)]) for F in subgroups_of_symmetric(3)]
+        cases += [(F, 4, [(0, 1), (1, 2), (2, 3)]) for F in subgroups_of_symmetric(4)]
+        for F, radius, swaps in cases:
+            sc = intersection_numbers(F, radius)
+            for a, b in swaps:
+                pi = transposition(F.degree, a, b)
+                gens = [compose(compose(pi, g), invert(pi)) for g in F.generators]
+                conj = intersection_numbers(LocalGroup(F.degree, gens), radius)
+                sigma = [
+                    conj.class_of_word(tuple(pi[c] for c in o.representative))
+                    for o in sc.orbits
+                ]
+                assert sorted(sigma) == list(range(len(conj.orbits))), (F, pi)
+                sizes = [conj.orbits[s].size for s in sigma]
+                assert sizes == [o.size for o in sc.orbits], (F, pi)
+                relabeled = sorted(
+                    (sigma[i], sigma[j], sigma[k], n) for i, j, k, n in sc.entries()
+                )
+                assert relabeled == conj.entries(), (F, pi)
 
 
 def split_class(table: OrbitTable, class_id: int, piece) -> OrbitTable:
@@ -260,7 +287,7 @@ def split_class(table: OrbitTable, class_id: int, piece) -> OrbitTable:
             parts = [frozenset(piece), c.members - frozenset(piece)]
         for members in parts:
             classes.append(OrbitClass(len(classes), c.distance, min(members), members))
-    return OrbitTable(table.degree, table.generator_hash, table.radius, tuple(classes))
+    return OrbitTable(table.radius, tuple(classes))
 
 
 class TestRepresentativeCheck:
@@ -299,7 +326,7 @@ class TestRadialAlgebra:
         assert F.two_transitive
         q = F.degree - 1
         sc = intersection_numbers(F, radius)
-        assert [(o.distance, o.valency) for o in sc.orbits] == [(0, 1)] + [
+        assert [(o.distance, o.size) for o in sc.orbits] == [(0, 1)] + [
             (m, (q + 1) * q ** (m - 1)) for m in range(1, radius + 1)
         ]
         one = KernelFunction.indicator(sc, 1)
