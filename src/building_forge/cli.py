@@ -212,22 +212,14 @@ def cmd_dynamics(args) -> int:
     degree = load_group(args.group).degree
     a = parse_automorphism(args.auto, degree)
     xi = parse_end(args.end, degree)
+    ends = tree.iterate_on_end(a, xi, args.nmax)
+    overlaps = tree.segment_through_apartment(a, ROOT, ROOT, args.nmax)
     cls = tree.classify_isometry(a, tree.default_search_radius(a))
-    if not cls.is_hyperbolic:
-        raise NotHyperbolic("dynamics needs a hyperbolic automorphism")
-    if xi == cls.axis.end_minus:
-        raise ParseError("the chosen end is the repelling fixed end")
+    plus = cls.axis.end_plus
     rows = []
-    current = xi
     for n in range(1, args.nmax + 1):
-        current = a.image_of_end(current)
-        depth = (
-            current.agreement_depth(cls.axis.end_plus)
-            if current != cls.axis.end_plus
-            else -1
-        )
-        overlap = tree.segment_through_apartment(a, ROOT, ROOT, n)
-        rows.append({"n": n, "agreement_depth": depth, "axis_overlap": overlap})
+        depth = ends[n].agreement_depth(plus) if ends[n] != plus else -1
+        rows.append({"n": n, "agreement_depth": depth, "axis_overlap": overlaps[n]})
     doc = {
         "format_version": 1,
         "command": "dynamics",
@@ -250,8 +242,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_find_sr(args) -> int:
     F = load_group(args.group)
-    g = gelfand.find_strongly_regular(F, args.budget)
-    cls = tree.classify_isometry(g, tree.default_search_radius(g))
+    g, cls = gelfand.find_strongly_regular(F, args.budget)
     doc = {
         "format_version": 1,
         "command": "find-sr",

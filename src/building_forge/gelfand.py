@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .group import (
     GrowthReport,
     LocalGroup,
-    enumerate_ends,
     fixed_end_check,
     k_orbit,
     orbit_count_growth,
@@ -37,13 +36,12 @@ from .hecke import HeckeVerdict, StructureConstants, commutativity_report
 from .tree import (
     ROOT,
     BudgetExhausted,
+    IsometryClass,
     Portrait,
     TreeApartment,
     TreeEnd,
     TreeVertex,
     Word,
-    classify_isometry,
-    default_search_radius,
     parallel_transport,
     pigeonhole_find_hyperbolic,
     sphere_words,
@@ -66,12 +64,11 @@ def strong_transitivity_verdict(F: LocalGroup, depth: int) -> StrongTransitivity
     """Assemble the boundary proxies at the given certification depth."""
     if depth < 3:
         raise ValueError("the verdict needs depth >= 3")
-    candidates = enumerate_ends(F.degree, max_prefix=1, max_period=2)
     return StrongTransitivityReport(
         depth=depth,
         two_transitive_on_ends=two_transitivity_on_ends_proxy(F, depth),
         growth=orbit_count_growth(F, depth),
-        fixed_ends=tuple(sorted(fixed_end_check(F, candidates), key=repr)),
+        fixed_ends=tuple(sorted(fixed_end_check(F), key=repr)),
     )
 
 
@@ -106,8 +103,8 @@ def line_pigeonhole_oracles(F: LocalGroup, line: TreeApartment, window: int):
     return labels, transporter
 
 
-def find_strongly_regular(F: LocalGroup, budget: int) -> Portrait:
-    """Produce a certified hyperbolic element of U(F) by pigeonhole."""
+def find_strongly_regular(F: LocalGroup, budget: int) -> tuple[Portrait, IsometryClass]:
+    """A hyperbolic element of U(F) found by pigeonhole, with its certificate."""
     line = standard_apartment()
     labels, transporter = line_pigeonhole_oracles(F, line, window=budget + 2)
     return pigeonhole_find_hyperbolic(line, labels, transporter, budget)
@@ -142,7 +139,10 @@ class WitnessPair:
         return self.beta.image(ROOT).word
 
 
-def separation_end(F: LocalGroup, axis, cap: int = 12) -> tuple[TreeEnd, int]:
+_SEPARATION_CAP = 12
+
+
+def separation_end(F: LocalGroup, axis) -> tuple[TreeEnd, int]:
     """An end whose depth-r shadow avoids the stabilizer shadow of the axis
     boundary, with the smallest such r.
 
@@ -151,7 +151,7 @@ def separation_end(F: LocalGroup, axis, cap: int = 12) -> tuple[TreeEnd, int]:
     axis prefixes and point an eventually periodic end through it.
     """
     degree = F.degree
-    for r in range(1, cap + 1):
+    for r in range(1, _SEPARATION_CAP + 1):
         shadow = k_orbit(F, axis.end_plus.word_prefix(r)) | k_orbit(
             F, axis.end_minus.word_prefix(r)
         )
@@ -203,11 +203,10 @@ def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
     if two_transitivity_on_ends_proxy(F, 3):
         return None
     try:
-        a = find_strongly_regular(F, budget)
+        a, certificate = find_strongly_regular(F, budget)
     except BudgetExhausted:
         return None
-    axis = classify_isometry(a, default_search_radius(a)).axis
-    target, r = separation_end(F, axis)
+    target, r = separation_end(F, certificate.axis)
     word = target.word_prefix(max(r, 2))
     if word[0] == word[-1]:
         extra = min(x for x in range(F.degree) if x not in (word[-1], word[0]))

@@ -23,10 +23,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import perms
+from . import perms, tree
 from .perms import Perm
 from .tree import (
     ROOT,
+    BudgetExhausted,
+    NotHyperbolic,
     Portrait,
     TreeEnd,
     Word,
@@ -119,11 +121,13 @@ def parse_local_group(text: str) -> LocalGroup:
     if not isinstance(doc, dict):
         raise ParseError("group document must be a JSON object")
     try:
-        degree = int(doc["degree"])
+        degree = doc["degree"]
         raw_gens = doc["generators"]
     except KeyError as exc:
         raise ParseError(f"group document is missing field {exc.args[0]!r}")
-    if not isinstance(raw_gens, list):
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise ParseError("'degree' must be an integer")
+    if not isinstance(raw_gens, list) or not all(isinstance(g, str) for g in raw_gens):
         raise ParseError("'generators' must be a list of one-line permutations")
     try:
         gens = [perms.parse_perm(g, degree) for g in raw_gens]
@@ -211,14 +215,26 @@ def _child_colors(F: LocalGroup, last: int | None) -> tuple[int, ...]:
     return tuple(minima)
 
 
+_BALL_WORD_CAP = 2_000_000
+
+
 def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
     """The K-orbits on the ball of ``radius``, grown sphere by sphere.
 
     Each class r on sphere n has one child class r + (c,) on sphere n+1 for
     each c in ``_child_colors(F, r[-1])``; r + (c,) is its lexicographic
     minimum, and its members are one ``k_orbit`` extension step from r's
-    members.  Cost: one extension step per class, each ball word built once.
+    members.  Cost: one extension step per class, each ball word built once
+    and held, so a ball of more than ``_BALL_WORD_CAP`` words is refused
+    before any work.
     """
+    q = F.degree - 1
+    words = 1 + F.degree * (q**radius - 1) // (q - 1)
+    if words > _BALL_WORD_CAP:
+        raise BudgetExhausted(
+            f"the ball of radius {radius} has {words} words, above the cap of "
+            f"{_BALL_WORD_CAP}"
+        )
     classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
     sphere = classes
     for n in range(1, radius + 1):
@@ -333,13 +349,16 @@ def default_generating_family(F: LocalGroup) -> list[Portrait]:
 
 
 def fixed_end_check(
-    F: LocalGroup,
-    candidate_ends: Iterable[TreeEnd],
-    generators: Sequence[Portrait] | None = None,
+    F: LocalGroup, generators: Sequence[Portrait] | None = None
 ) -> set[TreeEnd]:
-    """Candidate ends fixed by every generator of the family."""
+    """The ends fixed by every member of the family, whose first member must
+    be hyperbolic: it fixes exactly the two ends of its axis (Tits 1970)."""
     family = list(generators) if generators is not None else default_generating_family(F)
-    return {xi for xi in candidate_ends if all(g.fixes_end(xi) for g in family)}
+    first = tree.classify_isometry(family[0], tree.default_search_radius(family[0]))
+    if not first.is_hyperbolic:
+        raise NotHyperbolic("the first member of the family must be hyperbolic")
+    ends = (first.axis.end_minus, first.axis.end_plus)
+    return {xi for xi in ends if all(g.fixes_end(xi) for g in family)}
 
 
 def enumerate_ends(degree: int, max_prefix: int, max_period: int) -> list[TreeEnd]:

@@ -47,7 +47,8 @@ class RepellingFixedEnd(ValueError):
 
 
 class BudgetExhausted(RuntimeError):
-    """A pigeonhole walk ran out of budget before finding a repeat."""
+    """A search or table over its budget: a pigeonhole walk that found no
+    repeat, or a ball too large to build."""
 
 
 class NotHyperbolic(ValueError):
@@ -222,14 +223,18 @@ class TreeEnd:
             raise ValueError("rays are indexed by non-negative depth")
         return TreeVertex(self.word_prefix(n))
 
-    def agreement_depth(self, other: "TreeEnd", cap: int = 10000) -> int:
-        """Length of the common prefix of the two infinite words (< cap)."""
-        if self == other:
-            raise ValueError("equal ends agree to infinite depth")
-        for k in range(cap):
+    def agreement_depth(self, other: "TreeEnd") -> int:
+        """Length of the common prefix of the two infinite words.
+
+        Past both prefixes the pairs of letters repeat with the lcm of the
+        periods, so distinct ends (in normal form) differ within both
+        prefixes plus that lcm.
+        """
+        periods = lcm(len(self.period), len(other.period))
+        for k in range(len(self.prefix) + len(other.prefix) + periods):
             if self.letter(k) != other.letter(k):
                 return k
-        raise RuntimeError("ends agree beyond cap but are not equal")
+        raise ValueError("equal ends agree to infinite depth")
 
     def __repr__(self) -> str:
         pre = " ".join(map(str, self.prefix))
@@ -250,20 +255,9 @@ class TreeApartment:
     end_plus: TreeEnd
 
     def __post_init__(self):
-        bound = (
-            len(self.end_minus.prefix)
-            + len(self.end_plus.prefix)
-            + lcm(len(self.end_minus.period), len(self.end_plus.period))
-            + 1
-        )
-        depth = None
-        for k in range(bound):
-            if self.end_minus.letter(k) != self.end_plus.letter(k):
-                depth = k
-                break
-        if depth is None:
+        if self.end_minus == self.end_plus:
             raise ValueError("the two ends of an apartment must be distinct")
-        object.__setattr__(self, "_branch", depth)
+        object.__setattr__(self, "_branch", self.end_minus.agreement_depth(self.end_plus))
 
     @property
     def branch_depth(self) -> int:
@@ -294,13 +288,9 @@ class TreeApartment:
         return self.coordinate_of(v) is not None
 
 
-def standard_apartment(c_minus: int = 1, c_plus: int = 0) -> TreeApartment:
-    """The line through the base vertex alternating between two colors."""
-    if c_minus == c_plus:
-        raise ValueError("need two distinct colors")
-    plus = TreeEnd((), (c_plus, c_minus))
-    minus = TreeEnd((), (c_minus, c_plus))
-    return TreeApartment(minus, plus)
+def standard_apartment() -> TreeApartment:
+    """The line through the base vertex alternating the colors 0 and 1."""
+    return TreeApartment(TreeEnd((), (1, 0)), TreeEnd((), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -813,11 +803,16 @@ def classify_isometry(g: Portrait, search_radius: int) -> IsometryClass:
         raise RuntimeError(
             "translation length cross-check failed; portrait is not an automorphism"
         )
+    return _hyperbolic(g, v, m)
+
+
+def _hyperbolic(g: Portrait, v: TreeVertex, length: int) -> IsometryClass:
+    """The certificate of g translating by ``length`` along an axis through v."""
     plus = _attracting_end(g, v)
     minus = _attracting_end(g.inverse(), v)
     return IsometryClass(
         kind="hyperbolic",
-        length=m,
+        length=length,
         axis=TreeApartment(minus, plus),
         axis_vertex=v,
     )
@@ -868,14 +863,7 @@ def hyperbolic_from_segment(
     for a, b in zip(union, union[2:]):
         if a == b:
             raise NotTranslatedSegment("path backtracks")
-    plus = _attracting_end(h, seg[0])
-    minus = _attracting_end(h.inverse(), seg[0])
-    return IsometryClass(
-        kind="hyperbolic",
-        length=k,
-        axis=TreeApartment(minus, plus),
-        axis_vertex=seg[0],
-    )
+    return _hyperbolic(h, seg[0], k)
 
 
 # ---------------------------------------------------------------------------
@@ -960,38 +948,41 @@ def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
 # dynamics at infinity
 
 
-def iterate_on_end(a: Portrait, xi: TreeEnd, n: int) -> TreeEnd:
-    """a^n(xi) for hyperbolic a; exact, in normal form.
+def iterate_on_end(a: Portrait, xi: TreeEnd, n: int) -> list[TreeEnd]:
+    """[a^m(xi) for m = 0..n] for hyperbolic a; exact, in normal form.
 
     The repelling axis end is rejected (it is fixed, and every other end
     converges to the attracting one).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 0:
+        raise ValueError("n must be non-negative")
     cls = classify_isometry(a, default_search_radius(a))
     if not cls.is_hyperbolic:
         raise NotHyperbolic("iteration at infinity needs a hyperbolic automorphism")
     if xi == cls.axis.end_minus:
-        raise RepellingFixedEnd("xi is the repelling fixed end")
-    out = xi
+        raise RepellingFixedEnd("the chosen end is the repelling fixed end")
+    out = [xi]
     for _ in range(n):
-        out = a.image_of_end(out)
+        out.append(a.image_of_end(out[-1]))
     return out
 
 
 def segment_through_apartment(
     a: Portrait, x0: TreeVertex, x: TreeVertex, n: int
-) -> int:
-    """Length of the geodesic [x0, a^n(x)] intersected with the axis of a."""
+) -> list[int]:
+    """For m = 0..n, the length of the geodesic [x0, a^m(x)] intersected
+    with the axis of a."""
     cls = classify_isometry(a, default_search_radius(a))
     if not cls.is_hyperbolic:
         raise NotHyperbolic("the automorphism must be hyperbolic")
-    w = x
-    for _ in range(n):
-        w = a.image(w)
     c0, _ = cls.axis.project(x0)
-    c1, _ = cls.axis.project(w)
-    return abs(c1 - c0)
+    out = []
+    w = x
+    for m in range(n + 1):
+        if m:
+            w = a.image(w)
+        out.append(abs(cls.axis.project(w)[0] - c0))
+    return out
 
 
 def pigeonhole_find_hyperbolic(
@@ -999,14 +990,15 @@ def pigeonhole_find_hyperbolic(
     labels: Callable[[TreeVertex], object],
     transporter: Callable[[TreeVertex, TreeVertex], Portrait | None],
     budget: int,
-) -> Portrait:
+) -> tuple[Portrait, IsometryClass]:
     """Find a hyperbolic element by label repetition along a line or ray.
 
     Walks the marked vertices line.vertex_at(0), vertex_at(1), ...; when two
     positions s < t carry equal labels, asks the transporter for a group
     element matching their neighborhoods and certifies it hyperbolic via the
     translated-segment criterion (translation length = t - s).  Transporter
-    failures and uncertifiable candidates are skipped, not fatal.
+    failures and uncertifiable candidates are skipped, not fatal.  Returns
+    the element with its certificate.
     """
     seen: dict = {}
     for t in range(budget + 1):
@@ -1019,10 +1011,9 @@ def pigeonhole_find_hyperbolic(
             seg = [line.vertex_at(i) for i in range(s, t + 2)]
             imgs = [g.image(u) for u in seg]
             try:
-                hyperbolic_from_segment(g, seg, imgs)
+                return g, hyperbolic_from_segment(g, seg, imgs)
             except NotTranslatedSegment:
                 continue
-            return g
         seen.setdefault(lbl, []).append(t)
     raise BudgetExhausted(
         f"no certified repeat within budget {budget} ({len(seen)} distinct labels)"

@@ -12,11 +12,14 @@ from random import Random
 from building_forge.group import LocalGroup, k_orbit
 from building_forge.tree import (
     ROOT,
+    NotHyperbolic,
     Portrait,
     TablePortrait,
     TreeVertex,
     Word,
     ball_words,
+    classify_isometry,
+    default_search_radius,
     parallel_transport,
     reduce_word,
     sphere_words,
@@ -212,6 +215,20 @@ def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
         return k * t * k.inverse(), len(word)
     h = parallel_transport(tuple(word[:1]) if word[0] != word[-1] else (word[-1],), degree)
     return h * t * h.inverse(), len(word)
+
+
+def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:
+    """Length of the geodesic [x0, a^n(x)] intersected with the axis of a,
+    from scratch for the one n: classify a, apply it n times, project."""
+    cls = classify_isometry(a, default_search_radius(a))
+    if not cls.is_hyperbolic:
+        raise NotHyperbolic("the automorphism must be hyperbolic")
+    w = x
+    for _ in range(n):
+        w = a.image(w)
+    c0, _ = cls.axis.project(x0)
+    c1, _ = cls.axis.project(w)
+    return abs(c1 - c0)
 
 
 def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, TreeVertex]:

@@ -165,7 +165,7 @@ def test_acceptance_04_strongly_regular_existence():
         distinct = len({probe_labels(line.vertex_at(t)) for t in range(0, 12)})
         budget = 2 * distinct + 2
         labels, transporter = line_pigeonhole_oracles(F, line, window=budget + 2)
-        g = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
+        g, _ = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
         cls = classify_isometry(g, default_search_radius(g))
         assert cls.is_hyperbolic
         t0 = line.coordinate_of(cls.axis_vertex)
@@ -232,7 +232,7 @@ def test_acceptance_06_long_subsegments_in_the_axis():
     max_depth = max(len(v.word) for v in test_set)
     bound = T + -(-T // ell) + max_depth
     overlaps = {
-        x: [segment_through_apartment(a, ROOT, x, n) for n in range(bound + 6)]
+        x: [segment_through_apartment(a, ROOT, x, n)[n] for n in range(bound + 6)]
         for x in test_set
     }
     n0 = None

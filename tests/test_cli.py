@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import building_forge
+from building_forge import group
 from building_forge.cli import main
 
 S3_DOC = '{"degree": 3, "generators": ["1 0 2", "0 2 1"]}\n'
@@ -151,6 +152,14 @@ class TestDynamics:
         assert code == 2
         assert "hyperbolic" in err
 
+    def test_repelling_end_rejected(self, groups, capsys):
+        code, out, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", "transport:0,1", "--end", ":1,0"],
+        )
+        assert code == 2 and out == ""
+        assert "repelling" in err
+
     def test_table_portrait_spec(self, groups, capsys, tmp_path):
         spec = tmp_path / "step.json"
         spec.write_text(
@@ -231,6 +240,38 @@ class TestErrors:
         code, _, err = run(capsys, ["orbits", "--group", str(bad), "--radius", "2"])
         assert code == 2
         assert "line" in err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"degree": 3, "generators": [[1, 2, 0]]}', "generators"),
+            ('{"degree": 3, "generators": [null]}', "generators"),
+            ('{"degree": [3], "generators": ["1 2 0"]}', "degree"),
+            ('{"degree": 3.7, "generators": ["1 2 0"]}', "degree"),
+            ('{"degree": "3", "generators": ["1 2 0"]}', "degree"),
+        ],
+    )
+    def test_group_document_of_the_wrong_type(self, capsys, tmp_path, doc, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc)
+        code, out, err = run(capsys, ["orbits", "--group", str(bad), "--radius", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: '{field}' must be")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--radius", "6"],
+            ["hecke", "--radius", "6"],
+            ["gelfand", "--radius", "6"],
+        ],
+    )
+    def test_oversized_ball_refused(self, groups, capsys, monkeypatch, argv):
+        # the ball of radius 6 in the 3-regular tree has 190 words
+        monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
+        code, out, err = run(capsys, argv[:1] + ["--group", groups["c3"]] + argv[1:])
+        assert code == 3 and out == ""
+        assert "190 words" in err
 
     def test_bad_permutation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

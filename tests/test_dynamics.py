@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import random_hyperbolic
+from helpers import axis_overlap, random_hyperbolic
 from building_forge.group import enumerate_ends
 from building_forge.tree import (
     ROOT,
@@ -150,12 +150,24 @@ class TestIterateOnEnd:
     def test_attracting_end_fixed(self):
         g = parallel_transport((0, 1), 3)
         for n in (1, 3):
-            assert iterate_on_end(g, TreeEnd((), (0, 1)), n) == TreeEnd((), (0, 1))
+            assert iterate_on_end(g, TreeEnd((), (0, 1)), n)[n] == TreeEnd((), (0, 1))
 
     def test_repelling_end_rejected(self):
         g = parallel_transport((0, 1), 3)
         with pytest.raises(RepellingFixedEnd):
             iterate_on_end(g, TreeEnd((), (1, 0)), 1)
+
+    def test_sequence_matches_repeated_images(self):
+        rng = Random(61)
+        for _ in range(6):
+            g, _ = random_hyperbolic(rng, 3)
+            minus = classify_isometry(g, default_search_radius(g)).axis.end_minus
+            xi = TreeEnd((), (0, 2)) if minus != TreeEnd((), (0, 2)) else TreeEnd((2,), (0, 1))
+            got = iterate_on_end(g, xi, 8)
+            current = xi
+            for m in range(9):
+                assert got[m] == current
+                current = g.image_of_end(current)
 
     def test_agreement_depth_growth(self):
         rng = Random(47)
@@ -195,11 +207,11 @@ class TestSegmentThroughApartment:
         x0 = ROOT
         x = TreeVertex((0, 1))  # on the axis at coordinate +2
         for n in range(1, 5):
-            assert segment_through_apartment(g, x0, x, n) == 2 * n + 2
+            assert segment_through_apartment(g, x0, x, n)[n] == 2 * n + 2
 
     def test_adjacent_off_axis(self):
         g = parallel_transport((0, 1), 3)
-        assert segment_through_apartment(g, TreeVertex((2,)), TreeVertex((2, 0)), 0) == 0
+        assert segment_through_apartment(g, TreeVertex((2,)), TreeVertex((2, 0)), 0)[0] == 0
 
     def test_monotone_growth(self):
         rng = Random(53)
@@ -208,9 +220,20 @@ class TestSegmentThroughApartment:
             words = [w for w in ball_words(3, 4)]
             x0 = TreeVertex(rng.choice(words))
             x = TreeVertex(rng.choice(words))
-            vals = [segment_through_apartment(g, x0, x, n) for n in range(13)]
+            vals = [segment_through_apartment(g, x0, x, n)[n] for n in range(13)]
             tail = vals[4:]
             assert all(a <= b for a, b in zip(tail, tail[1:]))
+
+    def test_sequence_matches_the_per_power_overlap(self):
+        rng = Random(59)
+        words = list(ball_words(3, 4))
+        for _ in range(4):
+            g, _ = random_hyperbolic(rng, 3)
+            for _ in range(2):
+                x0 = TreeVertex(rng.choice(words))
+                x = TreeVertex(rng.choice(words))
+                got = segment_through_apartment(g, x0, x, 12)
+                assert got == [axis_overlap(g, x0, x, m) for m in range(13)]
 
 
 class TestPigeonhole:
@@ -228,7 +251,7 @@ class TestPigeonhole:
             gap = line.coordinate_of(v) - line.coordinate_of(u)
             return step.power(gap)
 
-        g = pigeonhole_find_hyperbolic(line, lambda v: 0, transporter, budget=4)
+        g, _ = pigeonhole_find_hyperbolic(line, lambda v: 0, transporter, budget=4)
         assert classify_isometry(g, default_search_radius(g)).length == 1
 
     def test_periodic_labels_give_multiples(self):
@@ -239,7 +262,7 @@ class TestPigeonhole:
             return step.power(gap)
 
         labels = lambda v: line.coordinate_of(v) % 3
-        g = pigeonhole_find_hyperbolic(line, labels, transporter, budget=8)
+        g, _ = pigeonhole_find_hyperbolic(line, labels, transporter, budget=8)
         assert classify_isometry(g, default_search_radius(g)).length % 3 == 0
 
     def test_budget_exhausted_on_injective_labels(self):
@@ -256,5 +279,17 @@ class TestPigeonhole:
             return transport_between(u, v, 3)
 
         labels = lambda v: len(v.word) % 2
-        g = pigeonhole_find_hyperbolic(ray, labels, transporter, budget=6)
+        g, _ = pigeonhole_find_hyperbolic(ray, labels, transporter, budget=6)
         assert classify_isometry(g, default_search_radius(g)).length == 2
+
+    def test_certificate_is_the_classification(self):
+        line, step = self.line_with_unit_translation()
+
+        def transporter(u, v):
+            gap = line.coordinate_of(v) - line.coordinate_of(u)
+            return step.power(gap)
+
+        for labels, budget in ((lambda v: 0, 4), (lambda v: line.coordinate_of(v) % 3, 8)):
+            g, cert = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
+            cls = classify_isometry(g, default_search_radius(g))
+            assert (cert.axis, cert.length) == (cls.axis, cls.length)

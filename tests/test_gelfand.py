@@ -48,9 +48,19 @@ class TestStrongTransitivityVerdict:
         assert rep.fixed_ends == ()
 
 
+class TestStronglyRegularCertificate:
+    def test_certificate_is_the_classification(self):
+        for degree in (3, 4, 5):
+            F = make_trivial(degree)
+            for budget in range(2, 9):
+                g, cert = find_strongly_regular(F, budget)
+                cls = classify_isometry(g, default_search_radius(g))
+                assert (cert.axis, cert.length) == (cls.axis, cls.length)
+
+
 class TestSeparation:
     def test_c3_separation_depth(self):
-        a = find_strongly_regular(C3, 6)
+        a, _ = find_strongly_regular(C3, 6)
         axis = classify_isometry(a, default_search_radius(a)).axis
         end, r = separation_end(C3, axis)
         assert r == 3
@@ -61,7 +71,7 @@ class TestSeparation:
         assert prefix not in shadow
 
     def test_trivial_separation_is_immediate(self):
-        a = find_strongly_regular(TRIV, 6)
+        a, _ = find_strongly_regular(TRIV, 6)
         axis = classify_isometry(a, default_search_radius(a)).axis
         end, r = separation_end(TRIV, axis)
         assert r == 1

@@ -2,6 +2,8 @@
 
 import pytest
 
+from random import Random
+
 from helpers import (
     check_legal,
     dfs_k_orbit,
@@ -11,8 +13,10 @@ from helpers import (
     make_s4,
     make_trivial,
     pair_orbit_count_bruteforce,
+    random_hyperbolic,
     subgroups_of_symmetric,
 )
+from building_forge import group
 from building_forge.group import (
     LocalGroup,
     ParseError,
@@ -28,11 +32,15 @@ from building_forge.group import (
 from building_forge.perms import compose, invert, transposition
 from building_forge.tree import (
     ROOT,
+    BudgetExhausted,
+    NotHyperbolic,
     TablePortrait,
     TreeEnd,
     TreeVertex,
     ball_words,
+    classify_isometry,
     constant_portrait,
+    default_search_radius,
     identity_portrait,
     parallel_transport,
     sphere_words,
@@ -272,16 +280,43 @@ class TestRelabeling:
 
 class TestFixedEnds:
     def test_transitive_families_fix_nothing(self):
-        candidates = enumerate_ends(3, max_prefix=1, max_period=2)
-        assert fixed_end_check(S3, candidates) == set()
-        assert fixed_end_check(C3, candidates) == set()
-        assert fixed_end_check(TRIV, candidates) == set()
+        assert fixed_end_check(S3) == set()
+        assert fixed_end_check(C3) == set()
+        assert fixed_end_check(TRIV) == set()
 
     def test_single_hyperbolic_fixes_its_axis_ends(self):
-        candidates = enumerate_ends(3, max_prefix=1, max_period=2)
         g = parallel_transport((0, 1), 3)
-        fixed = fixed_end_check(S3, candidates, generators=[g])
+        fixed = fixed_end_check(S3, generators=[g])
         assert fixed == {TreeEnd((), (0, 1)), TreeEnd((), (1, 0))}
+
+    def test_default_families_of_small_groups_fix_nothing(self):
+        for F in subgroups_of_symmetric(3) + subgroups_of_symmetric(4):
+            assert fixed_end_check(F) == set(), F
+
+    def test_random_hyperbolic_fixes_exactly_its_axis_ends(self):
+        rng = Random(67)
+        candidates = enumerate_ends(3, max_prefix=6, max_period=3)
+        for _ in range(6):
+            g, _ = random_hyperbolic(rng, 3)
+            axis = classify_isometry(g, default_search_radius(g)).axis
+            fixed = fixed_end_check(S3, generators=[g])
+            assert fixed == {axis.end_minus, axis.end_plus}
+            assert {xi for xi in candidates if g.fixes_end(xi)} <= fixed
+
+    def test_first_member_must_be_hyperbolic(self):
+        rotation = constant_portrait(ROOT, (1, 2, 0), 3)
+        with pytest.raises(NotHyperbolic):
+            fixed_end_check(C3, generators=[rotation, parallel_transport((0, 1), 3)])
+
+
+class TestBallCap:
+    def test_refused_above_the_cap(self, monkeypatch):
+        # the ball of radius 6 in the 3-regular tree has 190 words
+        monkeypatch.setattr(group, "_BALL_WORD_CAP", 190)
+        assert orbit_table(C3, 6).sphere_counts() == [1, 1, 2, 4, 8, 16, 32]
+        monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
+        with pytest.raises(BudgetExhausted):
+            orbit_table(C3, 6)
 
 
 class TestOrbitTableSerialization:

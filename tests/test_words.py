@@ -83,6 +83,12 @@ class TestEnds:
         with pytest.raises(ValueError):
             a.agreement_depth(a)
 
+    def test_agreement_depth_of_a_long_common_prefix(self):
+        a = TreeEnd((0, 1) * 5001 + (2,), (0, 1))
+        b = TreeEnd((), (0, 1))
+        assert a.agreement_depth(b) == b.agreement_depth(a) == 10002
+        assert TreeApartment(b, a).branch_depth == 10002
+
 
 class TestApartment:
     def test_requires_distinct_ends(self):
