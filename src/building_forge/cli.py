@@ -200,12 +200,12 @@ def parse_end(spec: str, degree: int) -> TreeEnd:
         raise ParseError(f"bad end spec {spec!r}: expected 'prefix:period'")
     pre, per = spec.split(":", 1)
     try:
-        end = TreeEnd(parse_word(pre), parse_word(per))
+        pre, per = parse_word(pre), parse_word(per)
+        if any(not 0 <= c < degree for c in pre + per):
+            raise ValueError(f"colors must lie in 0..{degree - 1}")
+        return TreeEnd(pre, per)
     except ValueError as exc:
         raise ParseError(f"bad end spec {spec!r}: {exc}")
-    if any(not 0 <= c < degree for c in end.prefix + end.period):
-        raise ParseError(f"bad end spec {spec!r}: colors must lie in 0..{degree - 1}")
-    return end
 
 
 def cmd_dynamics(args) -> int:

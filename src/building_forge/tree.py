@@ -201,6 +201,8 @@ class TreeEnd:
         per = _primitive(tuple(int(c) for c in self.period))
         if not per:
             raise ValueError("period must be nonempty")
+        if any(c < 0 for c in pre + per):
+            raise ValueError("colors are non-negative integers")
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
@@ -216,12 +218,13 @@ class TreeEnd:
         return self.period[(k - len(self.prefix)) % len(self.period)]
 
     def word_prefix(self, n: int) -> Word:
-        return tuple(self.letter(k) for k in range(n))
+        reps = -(-(n - len(self.prefix)) // len(self.period))
+        return (self.prefix + self.period * reps)[: max(n, 0)]
 
     def vertex_at(self, n: int) -> TreeVertex:
         if n < 0:
             raise ValueError("rays are indexed by non-negative depth")
-        return TreeVertex(self.word_prefix(n))
+        return _vertex(self.word_prefix(n))
 
     def agreement_depth(self, other: "TreeEnd") -> int:
         """Length of the common prefix of the two infinite words.
@@ -230,11 +233,11 @@ class TreeEnd:
         periods, so distinct ends (in normal form) differ within both
         prefixes plus that lcm.
         """
-        periods = lcm(len(self.period), len(other.period))
-        for k in range(len(self.prefix) + len(other.prefix) + periods):
-            if self.letter(k) != other.letter(k):
-                return k
-        raise ValueError("equal ends agree to infinite depth")
+        n = len(self.prefix) + len(other.prefix) + lcm(len(self.period), len(other.period))
+        k = lcp_len(self.word_prefix(n), other.word_prefix(n))
+        if k == n:
+            raise ValueError("equal ends agree to infinite depth")
+        return k
 
     def __repr__(self) -> str:
         pre = " ".join(map(str, self.prefix))
@@ -375,6 +378,16 @@ class Portrait:
     def state_sigma(self, state) -> Perm:
         raise NotImplementedError
 
+    def step(self, ray: Word, k: int, pair: tuple) -> tuple:
+        """``(sigma, walk_state)`` at ``ray[:k+1]``, given that pair at
+        ``ray[:k]``; ``ray`` is a non-backtracking word longer than k.
+
+        The default evaluates the child vertex; a subclass whose pair at a
+        child is a function of the parent's pair may compute it natively.
+        """
+        v = _vertex(ray[: k + 1])
+        return self.sigma(v), self.walk_state(v)
+
     # -- algebra -----------------------------------------------------------
     def compose(self, other: "Portrait") -> "Portrait":
         return ComposedPortrait(self, other)
@@ -400,41 +413,47 @@ class Portrait:
     def image_of_end(self, end: TreeEnd, _abort_if_not: TreeEnd | None = None):
         """Exact image of an eventually periodic end, in normal form.
 
-        Walks the ray to ``end`` pushing vertices through the portrait.  The
-        image path is a geodesic ray, so after an initial rootward dip it
-        extends by one letter per step; when the walk's Markov token repeats
-        at the same phase of the period (with the token chain verified step
-        by step), the emitted letters provably cycle and the image end can
-        be read off.
+        Walks the ray to ``end`` one ``step`` at a time, pushing each vertex
+        through the portrait.  The image path is a geodesic ray, so after an
+        initial rootward dip it extends by one letter per step; when the
+        walk's Markov token repeats at the same phase of the period (with the
+        token chain verified step by step), the emitted letters provably
+        cycle and the image end can be read off.
 
         With ``_abort_if_not`` set, returns None as soon as the image is
         certain to differ from the given end.
         """
         pre_len = len(end.prefix)
         per_len = len(end.period)
-        v = ROOT
-        u: Word = self.base_image.word
-        emitted: list[int] = []
+        u = list(self.base_image.word)
+        cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
+        ray: Word = ()
+        target: Word = ()
+        # seen maps a key to the image length when it was recorded; every
+        # dip clears seen, so a recorded image is a prefix of the current one
         seen: dict = {}
         predicted = None
         extended_once = False
-        cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
+        pair = (self.sigma(ROOT), self.walk_state(ROOT))
         for k in range(cap):
-            c = end.letter(k)
-            sig = self.sigma(v)
+            if k == len(ray):
+                ray = end.word_prefix(2 * k + 64)
+            c = ray[k]
+            sig, state = pair
             e = sig[c]
             if u and u[-1] == e:
                 # image path still dipping toward the root
-                u = u[:-1]
+                u.pop()
                 seen.clear()
                 predicted = None
             else:
-                u = u + (e,)
-                emitted.append(e)
+                u.append(e)
                 extended_once = True
-                if _abort_if_not is not None and _abort_if_not.letter(len(u) - 1) != e:
-                    return None
-            state = self.walk_state(v)
+                if _abort_if_not is not None:
+                    if len(u) > len(target):
+                        target = _abort_if_not.word_prefix(2 * len(u) + 64)
+                    if target[len(u) - 1] != e:
+                        return None
             if state is None or k < pre_len or not extended_once:
                 seen.clear()
                 predicted = None
@@ -445,17 +464,14 @@ class Portrait:
                 key = (phase, state, u[-1] if u else -1)
                 hit = seen.get(key)
                 if hit is not None:
-                    _, emit_count, snapshot = hit
-                    period = tuple(emitted[emit_count:])
-                    if period:
-                        return TreeEnd(snapshot, period)
-                seen[key] = (k, len(emitted), u)
+                    return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
+                seen[key] = len(u)
                 predicted = self.step_state(state, c)
                 if predicted is None:
                     # the token chain broke: evolution from here is not a
                     # function of the token, so earlier records prove nothing
                     seen.clear()
-            v = v.neighbor(c)
+            pair = self.step(ray, k, pair)
         raise RuntimeError(
             "end image did not stabilize; the portrait is probably not an automorphism"
         )
@@ -552,15 +568,22 @@ class TablePortrait(Portrait):
             i -= 1
         z = memo[w[:i]]
         for j in range(i, len(w)):
-            e = self.sigma(TreeVertex(w[:j]))[w[j]]
+            e = self.sigma(_vertex(w[:j]))[w[j]]
             z = neighbor_word(z, e)
             memo[w[: j + 1]] = z
-        return TreeVertex(z)
+        return _vertex(z)
 
     def walk_state(self, v: TreeVertex):
         if len(v.word) < self._table_depth:
             return None
         return ("T", self.sigma(v))
+
+    def step(self, ray: Word, k: int, pair: tuple) -> tuple:
+        if k < self._table_depth:
+            return super().step(ray, k, pair)
+        # no table key is deeper than k, so the child extends the parent
+        sig = self._extend(self.degree, pair[0], ray[k])
+        return sig, ("T", sig)
 
     def step_state(self, state, c: int):
         return ("T", self._extend(self.degree, state[1], c))
@@ -631,14 +654,10 @@ class InversePortrait(Portrait):
         if got is not None:
             return _vertex(got)
         y = ROOT
-        u = self.inner.base_image  # = inner(y)
-        # descend to the root of the image side first
-        while u != ROOT:
-            c = invert(self.inner.sigma(y))[u.word[-1]]
-            y = y.neighbor(c)
-            u = u.parent
-        for j in range(len(v.word)):
-            c = invert(self.inner.sigma(y))[v.word[j]]
+        # inner(y) walks from the inner base image down to the base vertex,
+        # then out along the word of v
+        for e in self.inner.base_image.word[::-1] + v.word:
+            c = invert(self.inner.sigma(y))[e]
             y = y.neighbor(c)
         self._img_memo[v.word] = y.word
         return y

@@ -11,10 +11,13 @@ from random import Random
 
 from building_forge.group import LocalGroup, k_orbit
 from building_forge.tree import (
+    _END_WALK_CAP,
+    EXTEND_SPARSE,
     ROOT,
     NotHyperbolic,
     Portrait,
     TablePortrait,
+    TreeEnd,
     TreeVertex,
     Word,
     ball_words,
@@ -173,8 +176,12 @@ def triple_loop_tensor(table):
     return tensor, by_pair
 
 
-def random_k_portrait(rng: Random, degree: int, depth: int = 3) -> TablePortrait:
-    """A random base-vertex stabilizer, legal by construction."""
+def random_k_portrait(
+    rng: Random, degree: int, depth: int = 3, extension: str = EXTEND_SPARSE
+) -> TablePortrait:
+    """A random base-vertex stabilizer, legal by construction: every table
+    entry agrees with its parent's on the color of the edge between them,
+    and either extension rule keeps that beyond the table."""
     all_perms = list(permutations(range(degree)))
     table = {(): rng.choice(all_perms)}
 
@@ -193,7 +200,7 @@ def random_k_portrait(rng: Random, degree: int, depth: int = 3) -> TablePortrait
                 fill(child, sigma)
 
     fill((), table[()])
-    return TablePortrait(ROOT, table, degree)
+    return TablePortrait(ROOT, table, degree, extension)
 
 
 def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
@@ -240,3 +247,54 @@ def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, TreeVertex]:
         if best is None or d < best[0]:
             best = (d, v)
     return best
+
+
+def prefix_memo_image_of_end(g: Portrait, end: TreeEnd, abort_if_not: TreeEnd | None = None):
+    """The end-image walk that evaluates every ray vertex from scratch: a
+    fresh vertex per step, ``sigma`` and ``walk_state`` looked up by the
+    whole word, letters read one call at a time.  Quadratic in the walk's
+    length, and kept as the oracle for ``Portrait.image_of_end``."""
+    pre_len = len(end.prefix)
+    per_len = len(end.period)
+    v = ROOT
+    u: Word = g.base_image.word
+    emitted: list[int] = []
+    seen: dict = {}
+    predicted = None
+    extended_once = False
+    cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
+    for k in range(cap):
+        c = end.letter(k)
+        sig = g.sigma(v)
+        e = sig[c]
+        if u and u[-1] == e:
+            u = u[:-1]
+            seen.clear()
+            predicted = None
+        else:
+            u = u + (e,)
+            emitted.append(e)
+            extended_once = True
+            if abort_if_not is not None and abort_if_not.letter(len(u) - 1) != e:
+                return None
+        state = g.walk_state(v)
+        if state is None or k < pre_len or not extended_once:
+            seen.clear()
+            predicted = None
+        else:
+            if predicted is not None and predicted != state:
+                seen.clear()
+            phase = (k - pre_len) % per_len
+            key = (phase, state, u[-1] if u else -1)
+            hit = seen.get(key)
+            if hit is not None:
+                _, emit_count, snapshot = hit
+                period = tuple(emitted[emit_count:])
+                if period:
+                    return TreeEnd(snapshot, period)
+            seen[key] = (k, len(emitted), u)
+            predicted = g.step_state(state, c)
+            if predicted is None:
+                seen.clear()
+        v = v.neighbor(c)
+    raise RuntimeError("end image did not stabilize")

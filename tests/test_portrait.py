@@ -4,16 +4,22 @@ from random import Random
 
 import pytest
 
-from helpers import random_hyperbolic, random_k_portrait
+from helpers import prefix_memo_image_of_end, random_hyperbolic, random_k_portrait
+from building_forge.group import enumerate_ends
 from building_forge.perms import transposition
 from building_forge.tree import (
+    EXTEND_CONSTANT,
+    EXTEND_SPARSE,
     ROOT,
     TablePortrait,
     TreeEnd,
     TreeVertex,
     ball_words,
+    classify_isometry,
     constant_portrait,
+    default_search_radius,
     identity_portrait,
+    iterate_on_end,
     parallel_transport,
     transport_between,
 )
@@ -148,3 +154,64 @@ class TestEndImages:
         g = constant_portrait(ROOT, rho, 3)
         img = g.image_of_end(TreeEnd((), (0, 1)))
         assert img == TreeEnd((), (1, 2))
+
+
+def walk_portraits(rng):
+    """Hyperbolic elements, sparse and constant depth-3 tables, and their
+    compositions, inverses and powers."""
+    out = [random_hyperbolic(rng, 3)[0] for _ in range(4)]
+    for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
+        k = random_k_portrait(rng, 3, 3, extension)
+        t = parallel_transport((0, 1, 2), 3)
+        out += [k, k * t, t * k, k.inverse(), (k * t).inverse(), (k * t).power(2)]
+    out.append(random_hyperbolic(rng, 3)[0].power(3))
+    return out
+
+
+class TestIncrementalWalk:
+    def test_images_match_the_prefix_memo_walk(self):
+        rng = Random(41)
+        ends = enumerate_ends(3, 3, 3)
+        for g in walk_portraits(rng):
+            for end in ends:
+                assert g.image_of_end(end) == prefix_memo_image_of_end(g, end)
+                expected = prefix_memo_image_of_end(g, end, abort_if_not=end) == end
+                assert g.fixes_end(end) == expected
+
+    def test_step_matches_the_vertex_evaluation(self):
+        rng = Random(43)
+        for g in walk_portraits(rng):
+            for _ in range(6):
+                word = [rng.randrange(3)]
+                while len(word) < 12:
+                    c = rng.randrange(3)
+                    if c != word[-1]:
+                        word.append(c)
+                ray = tuple(word)
+                pair = (g.sigma(ROOT), g.walk_state(ROOT))
+                for k in range(len(ray)):
+                    pair = g.step(ray, k, pair)
+                    v = TreeVertex(ray[: k + 1])
+                    assert pair == (g.sigma(v), g.walk_state(v))
+
+    def test_vertex_validations_do_not_grow_with_the_word(self, monkeypatch):
+        def validations(k):
+            """(vertices validated, letters validated) for a walk along a
+            transport by a word of length 2k."""
+            a = parallel_transport((0, 1) * k, 3)
+            calls = letters = 0
+            validate = TreeVertex.__post_init__
+
+            def counting(self):
+                nonlocal calls, letters
+                calls += 1
+                letters += len(self.word)
+                validate(self)
+
+            with monkeypatch.context() as m:
+                m.setattr(TreeVertex, "__post_init__", counting)
+                classify_isometry(a, default_search_radius(a))
+                iterate_on_end(a, TreeEnd((), (0, 2)), 3)
+            return calls, letters
+
+        assert validations(100) == validations(200)

@@ -71,6 +71,16 @@ class TestEnds:
         with pytest.raises(ValueError):
             TreeEnd((0,), (0, 1))  # junction backtracks after normalization?
 
+    @pytest.mark.parametrize("prefix, period", [((-1,), (0, 1)), ((), (0, -2)), ((2,), (-1, 0))])
+    def test_negative_colors_refused(self, prefix, period):
+        with pytest.raises(ValueError, match="colors are non-negative integers"):
+            TreeEnd(prefix, period)
+
+    def test_word_prefix_reads_the_letters(self):
+        for xi in (TreeEnd((), (0, 1)), TreeEnd((2, 1), (0, 1, 2)), TreeEnd((1, 0, 2, 1), (0, 2))):
+            for n in range(-2, 12):
+                assert xi.word_prefix(n) == tuple(xi.letter(k) for k in range(n))
+
     def test_letters_and_vertices(self):
         xi = TreeEnd((2,), (0, 1))
         assert [xi.letter(k) for k in range(5)] == [2, 0, 1, 0, 1]
