@@ -183,13 +183,18 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
         return tree.parallel_transport(parse_word(spec[len("transport:"):]), degree)
     try:
         doc = json.loads(Path(spec).read_text())
-        base = TreeVertex(parse_word(doc["base_image"]))
-        table = {
-            parse_word(k): parse_perm(v, degree)
-            for k, v in doc.get("exceptions", {}).items()
-        }
+        if not isinstance(doc, dict):
+            raise ValueError("the document must be a JSON object")
+        base, exceptions = doc["base_image"], doc.get("exceptions", {})
         extension = doc.get("extension", tree.EXTEND_SPARSE)
-        return tree.TablePortrait(base, table, degree, extension)
+        if not isinstance(base, str):
+            raise ValueError("base_image must be a word string")
+        if not isinstance(exceptions, dict) or {type(v) for v in exceptions.values()} - {str}:
+            raise ValueError("exceptions must map words to permutation strings")
+        if extension not in (tree.EXTEND_SPARSE, tree.EXTEND_CONSTANT):
+            raise ValueError(f'extension must be "sparse" or "constant", not {extension!r}')
+        table = {parse_word(k): parse_perm(v, degree) for k, v in exceptions.items()}
+        return tree.TablePortrait(TreeVertex(parse_word(base)), table, degree, extension)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ParseError(f"bad automorphism spec {spec!r}: {exc}")
 

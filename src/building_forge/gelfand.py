@@ -320,8 +320,6 @@ def main_theorem_report(F: LocalGroup, depth: int, budget: int = 6) -> Verdict:
         notes.append(
             "K is trivial: the orbit algebra is the full pair-kernel algebra"
         )
-    if stv.growth.verdict == "undetermined":
-        notes.append("orbit growth window neither constant nor strictly increasing")
     if stv.fixed_ends:
         notes.append("generating family fixes boundary points; proxies inapplicable")
     return Verdict(

@@ -260,15 +260,17 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
 class GrowthReport:
     """Per-sphere orbit counts with the finite-depth verdict.
 
-    The verdict is a proxy certified only to the computed radius: counts
-    constant on the last three spheres read as "stabilized", strictly
-    increasing there as "growing"; anything else is "undetermined" (treated
-    as growing by consumers, with the raw counts attached).
+    From radius 3 the window of the last three spheres is constant iff F is
+    2-transitive ("stabilized"), and strictly increasing otherwise
+    ("growing"): then some F_a has two or more orbits on the other colors,
+    and the colors whose class count grows from depth n to n+1 form an
+    F-invariant set, nonempty at n = 1 and met by every other color's
+    children, so it stays nonempty.
     """
 
     radius: int
     counts: tuple[int, ...]
-    verdict: str  # "stabilized" | "growing" | "undetermined"
+    verdict: str  # "stabilized" | "growing"
 
     @property
     def stabilized(self) -> bool:
@@ -290,8 +292,8 @@ def _arm_classes(F: LocalGroup, n: int) -> list[int]:
 def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
     """K-orbits per sphere: sphere n >= 1 has the sum of c_a over a in
     ``_child_colors(F, None)``; no table is built."""
-    if radius < 2:
-        raise ValueError("the growth window needs radius >= 2")
+    if radius < 3:
+        raise ValueError("the growth window needs radius >= 3")
     roots = _child_colors(F, None)
     arms = [_arm_classes(F, n) for n in range(1, radius + 1)]
     counts = (1,) + tuple(sum(c[a] for a in roots) for c in arms)
@@ -301,7 +303,7 @@ def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
     elif window[0] < window[1] < window[2]:
         verdict = "growing"
     else:
-        verdict = "undetermined"
+        raise RuntimeError(f"orbit counts {window} neither constant nor strictly increasing")
     return GrowthReport(radius, counts, verdict)
 
 

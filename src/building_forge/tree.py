@@ -323,18 +323,18 @@ EXTEND_SPARSE = "sparse"
 EXTEND_CONSTANT = "constant"
 
 
-def _extend_sparse(degree: int, sigma_parent: Perm, c: int) -> Perm:
+def _extend_sparse(ident: Perm, sigma_parent: Perm, c: int) -> Perm:
     forced = sigma_parent[c]
     if forced == c:
-        return identity(degree)
-    return transposition(degree, c, forced)
+        return ident
+    return transposition(len(ident), c, forced)
 
 
-def _extend_constant(degree: int, sigma_parent: Perm, c: int) -> Perm:
+def _extend_constant(ident: Perm, sigma_parent: Perm, c: int) -> Perm:
     return sigma_parent
 
 
-_EXTENSIONS: dict[str, Callable[[int, Perm, int], Perm]] = {
+_EXTENSIONS: dict[str, Callable[[Perm, Perm, int], Perm]] = {
     EXTEND_SPARSE: _extend_sparse,
     EXTEND_CONSTANT: _extend_constant,
 }
@@ -343,8 +343,10 @@ _EXTENSIONS: dict[str, Callable[[int, Perm, int], Perm]] = {
 class Portrait:
     """Base class: a lazily evaluated automorphism of the colored tree.
 
-    Subclasses provide local permutations ``sigma(v)``, vertex images, and a
-    Markov walk-state protocol used for exact end images:
+    Subclasses provide ``_at(v)``, the image word, local permutation and
+    walk state at v in one evaluation (``image``, ``sigma`` and
+    ``walk_state`` read it), and a Markov walk-state protocol used for exact
+    end images:
 
     * ``walk_state(v)`` returns a hashable token or None.  A non-None token
       promises that for any child w = v + (c,), both ``sigma(w)`` and
@@ -355,22 +357,24 @@ class Portrait:
     * ``state_sigma(token)`` recovers the local permutation at the token's
       vertex.
 
-    Instances are immutable apart from internal memo caches, whose fills are
-    idempotent; values may be shared between threads.
+    Instances hold no mutable state; values may be shared between threads.
     """
 
     degree: int
     base_image: TreeVertex
 
     # -- interface ---------------------------------------------------------
-    def sigma(self, v: TreeVertex) -> Perm:
+    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
         raise NotImplementedError
+
+    def sigma(self, v: TreeVertex) -> Perm:
+        return self._at(v)[1]
 
     def image(self, v: TreeVertex) -> TreeVertex:
-        raise NotImplementedError
+        return _vertex(self._at(v)[0])
 
     def walk_state(self, v: TreeVertex):
-        raise NotImplementedError
+        return self._at(v)[2]
 
     def step_state(self, state, c: int):
         raise NotImplementedError
@@ -378,15 +382,16 @@ class Portrait:
     def state_sigma(self, state) -> Perm:
         raise NotImplementedError
 
-    def step(self, ray: Word, k: int, pair: tuple) -> tuple:
+    def step(self, ray: Sequence[int], k: int, pair: tuple) -> tuple:
         """``(sigma, walk_state)`` at ``ray[:k+1]``, given that pair at
-        ``ray[:k]``; ``ray`` is a non-backtracking word longer than k.
+        ``ray[:k]``; ``ray`` is a non-backtracking word (or list of colors)
+        longer than k, read but not kept.
 
         The default evaluates the child vertex; a subclass whose pair at a
         child is a function of the parent's pair may compute it natively.
         """
-        v = _vertex(ray[: k + 1])
-        return self.sigma(v), self.walk_state(v)
+        _, sig, state = self._at(_vertex(tuple(ray[: k + 1])))
+        return sig, state
 
     # -- algebra -----------------------------------------------------------
     def compose(self, other: "Portrait") -> "Portrait":
@@ -511,16 +516,18 @@ class TablePortrait(Portrait):
             w = key.word if isinstance(key, TreeVertex) else tuple(key)
             if any(not 0 <= c < degree for c in w):
                 raise ValueError(f"table key {w} uses colors outside the degree")
+            if not is_nonbacktracking(w):
+                raise ValueError(f"table key {w} is a backtracking word")
             p = tuple(perm)
             if sorted(p) != list(range(degree)):
                 raise ValueError(f"table entry at {w} is not a degree-{degree} permutation")
             tbl[w] = p
         self._table = tbl
         self._table_depth = max((len(w) for w in tbl), default=-1)
+        self._identity = identity(degree)
+        self._root_sigma = tbl.get((), self._identity)
         if any(c >= degree for c in base_image.word):
             raise ValueError("base image uses colors outside the degree")
-        self._sig_memo: dict[Word, Perm] = {}
-        self._img_memo: dict[Word, Word] = {ROOT.word: base_image.word}
         if strict:
             self._check_table_cocycle()
 
@@ -533,63 +540,45 @@ class TablePortrait(Portrait):
             if self._table[w][c] != sp[c]:
                 raise ValueError(f"legality cocycle violated at table vertex {w}")
 
+    def _child(self, w: Sequence[int], j: int, sig: Perm) -> Perm:
+        """sigma at ``w[:j+1]``, given ``sig``, sigma at ``w[:j]``: the table
+        entry while one may exist, the extension rule past the table."""
+        if j < self._table_depth:
+            got = self._table.get(tuple(w[: j + 1]))
+            if got is not None:
+                return got
+        return self._extend(self._identity, sig, w[j])
+
     def sigma(self, v: TreeVertex) -> Perm:
         w = v.word
-        memo = self._sig_memo
-        got = memo.get(w)
-        if got is not None:
-            return got
-        # find the deepest memoized/rooted ancestor, then extend downward
-        i = len(w)
-        while i > 0 and w[:i] not in memo and w[:i] not in self._table:
-            i -= 1
-        if w[:i] in memo:
-            sig = memo[w[:i]]
-        elif w[:i] in self._table:
-            sig = self._table[w[:i]]
-        else:
-            sig = self._table.get((), identity(self.degree))
-            memo[()] = sig
-        for j in range(i, len(w)):
-            prefix = w[: j + 1]
-            sig = self._table.get(prefix) or self._extend(self.degree, sig, w[j])
-            memo[prefix] = sig
-        memo[w] = sig
+        sig = self._root_sigma
+        for j in range(len(w)):
+            sig = self._child(w, j, sig)
         return sig
 
-    def image(self, v: TreeVertex) -> TreeVertex:
+    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
         w = v.word
-        memo = self._img_memo
-        got = memo.get(w)
-        if got is not None:
-            return _vertex(got)
-        i = len(w)
-        while i > 0 and w[:i] not in memo:
-            i -= 1
-        z = memo[w[:i]]
-        for j in range(i, len(w)):
-            e = self.sigma(_vertex(w[:j]))[w[j]]
-            z = neighbor_word(z, e)
-            memo[w[: j + 1]] = z
-        return _vertex(z)
+        sig, letters = self._root_sigma, []
+        for j, c in enumerate(w):
+            letters.append(sig[c])
+            sig = self._child(w, j, sig)
+        state = None if len(w) < self._table_depth else sig
+        return reduce_word(self.base_image.word, letters), sig, state
 
     def walk_state(self, v: TreeVertex):
         if len(v.word) < self._table_depth:
             return None
-        return ("T", self.sigma(v))
+        return self.sigma(v)
 
-    def step(self, ray: Word, k: int, pair: tuple) -> tuple:
-        if k < self._table_depth:
-            return super().step(ray, k, pair)
-        # no table key is deeper than k, so the child extends the parent
-        sig = self._extend(self.degree, pair[0], ray[k])
-        return sig, ("T", sig)
+    def step(self, ray: Sequence[int], k: int, pair: tuple) -> tuple:
+        sig = self._child(ray, k, pair[0])
+        return sig, (None if k + 1 < self._table_depth else sig)
 
     def step_state(self, state, c: int):
-        return ("T", self._extend(self.degree, state[1], c))
+        return self._extend(self._identity, state, c)
 
     def state_sigma(self, state) -> Perm:
-        return state[1]
+        return state
 
 
 class ComposedPortrait(Portrait):
@@ -603,22 +592,11 @@ class ComposedPortrait(Portrait):
         self.inner = inner
         self.base_image = outer.image(inner.base_image)
 
-    def sigma(self, v: TreeVertex) -> Perm:
-        return compose(self.outer.sigma(self.inner.image(v)), self.inner.sigma(v))
-
-    def image(self, v: TreeVertex) -> TreeVertex:
-        return self.outer.image(self.inner.image(v))
-
-    def walk_state(self, v: TreeVertex):
-        sh = self.inner.walk_state(v)
-        if sh is None:
-            return None
-        hv = self.inner.image(v)
-        sg = self.outer.walk_state(hv)
-        if sg is None:
-            return None
-        last = hv.word[-1] if hv.word else -1
-        return ("C", sh, sg, last)
+    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
+        hw, sigma_h, sh = self.inner._at(v)
+        gw, sigma_g, sg = self.outer._at(_vertex(hw))
+        state = None if sh is None or sg is None else ("C", sh, sg, hw[-1] if hw else -1)
+        return gw, compose(sigma_g, sigma_h), state
 
     def step_state(self, state, c: int):
         _, sh, sg, last = state
@@ -640,37 +618,36 @@ class InversePortrait(Portrait):
     def __init__(self, inner: Portrait):
         self.degree = inner.degree
         self.inner = inner
-        self._img_memo: dict[Word, Word] = {}
         self.base_image = self.image(ROOT)
 
-    def image(self, v: TreeVertex) -> TreeVertex:
-        """Preimage of v under the inner portrait, by a guided walk.
+    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
+        """At the preimage y of v under the inner portrait, found by a
+        guided walk.
 
-        Maintains a cursor y with inner(y) tracking the path from the base
-        vertex to v; each step picks the unique neighbor of y whose image
-        moves one edge along that path.
+        A cursor y with inner(y) tracking the path from the base vertex to v
+        moves to the unique neighbor whose image moves one edge along that
+        path.  The inner (sigma, walk_state) pairs along y sit on stacks,
+        popped on a rootward move and stepped on an outward one.
         """
-        got = self._img_memo.get(v.word)
-        if got is not None:
-            return _vertex(got)
-        y = ROOT
+        inner = self.inner
+        y: list[int] = []
+        sigmas, states = [inner.sigma(ROOT)], [inner.walk_state(ROOT)]
         # inner(y) walks from the inner base image down to the base vertex,
         # then out along the word of v
-        for e in self.inner.base_image.word[::-1] + v.word:
-            c = invert(self.inner.sigma(y))[e]
-            y = y.neighbor(c)
-        self._img_memo[v.word] = y.word
-        return y
-
-    def sigma(self, v: TreeVertex) -> Perm:
-        return invert(self.inner.sigma(self.image(v)))
-
-    def walk_state(self, v: TreeVertex):
-        z = self.image(v)
-        s = self.inner.walk_state(z)
-        if s is None:
-            return None
-        return ("I", s, z.word[-1] if z.word else -1)
+        for e in inner.base_image.word[::-1] + v.word:
+            c = sigmas[-1].index(e)
+            if y and y[-1] == c:
+                y.pop()
+                sigmas.pop()
+                states.pop()
+            else:
+                y.append(c)
+                sig, state = inner.step(y, len(y) - 1, (sigmas[-1], states[-1]))
+                sigmas.append(sig)
+                states.append(state)
+        s = states[-1]
+        state = None if s is None else ("I", s, y[-1] if y else -1)
+        return tuple(y), invert(sigmas[-1]), state
 
     def step_state(self, state, c: int):
         _, s, last = state

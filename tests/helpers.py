@@ -10,10 +10,14 @@ from itertools import combinations_with_replacement, permutations
 from random import Random
 
 from building_forge.group import LocalGroup, k_orbit
+from building_forge.perms import compose, identity, invert, transposition
 from building_forge.tree import (
     _END_WALK_CAP,
+    EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
+    ComposedPortrait,
+    InversePortrait,
     NotHyperbolic,
     Portrait,
     TablePortrait,
@@ -298,3 +302,138 @@ def prefix_memo_image_of_end(g: Portrait, end: TreeEnd, abort_if_not: TreeEnd | 
                 seen.clear()
         v = v.neighbor(c)
     raise RuntimeError("end image did not stabilize")
+
+
+class _FromParts:
+    """``_at`` read off separate ``image``, ``sigma`` and ``walk_state``
+    evaluations, and ``step`` by evaluating the child vertex."""
+
+    def _at(self, v):
+        return self.image(v).word, self.sigma(v), self.walk_state(v)
+
+    step = Portrait.step
+
+
+class MemoTablePortrait(_FromParts, TablePortrait):
+    """A table portrait evaluated by per-prefix memos: ``sigma`` extends
+    from the deepest memoized or tabled prefix, ``image`` from the deepest
+    memoized image, and every prefix met is stored.  The extension rules are
+    restated here.  Quadratic in memory along a long word; kept as the
+    oracle for the forward passes of ``TablePortrait``."""
+
+    def __init__(self, g: TablePortrait):
+        super().__init__(g.base_image, g._table, g.degree, g.extension, strict=False)
+        self._sig_memo: dict[Word, tuple] = {}
+        self._img_memo: dict[Word, Word] = {(): g.base_image.word}
+
+    def _rule(self, sigma_parent, c):
+        if self.extension == EXTEND_CONSTANT:
+            return sigma_parent
+        forced = sigma_parent[c]
+        if forced == c:
+            return identity(self.degree)
+        return transposition(self.degree, c, forced)
+
+    def sigma(self, v):
+        w = v.word
+        memo = self._sig_memo
+        got = memo.get(w)
+        if got is not None:
+            return got
+        i = len(w)
+        while i > 0 and w[:i] not in memo and w[:i] not in self._table:
+            i -= 1
+        if w[:i] in memo:
+            sig = memo[w[:i]]
+        elif w[:i] in self._table:
+            sig = self._table[w[:i]]
+        else:
+            sig = self._table.get((), identity(self.degree))
+            memo[()] = sig
+        for j in range(i, len(w)):
+            prefix = w[: j + 1]
+            sig = self._table.get(prefix) or self._rule(sig, w[j])
+            memo[prefix] = sig
+        memo[w] = sig
+        return sig
+
+    def image(self, v):
+        w = v.word
+        memo = self._img_memo
+        got = memo.get(w)
+        if got is not None:
+            return TreeVertex(got)
+        i = len(w)
+        while i > 0 and w[:i] not in memo:
+            i -= 1
+        z = memo[w[:i]]
+        for j in range(i, len(w)):
+            e = self.sigma(TreeVertex(w[:j]))[w[j]]
+            z = z[:-1] if z and z[-1] == e else z + (e,)
+            memo[w[: j + 1]] = z
+        return TreeVertex(z)
+
+
+class MemoComposedPortrait(_FromParts, ComposedPortrait):
+    """A composition evaluated part by part: the inner image, then the outer
+    portrait there.  The oracle for ``ComposedPortrait``."""
+
+    def sigma(self, v):
+        return compose(self.outer.sigma(self.inner.image(v)), self.inner.sigma(v))
+
+    def image(self, v):
+        return self.outer.image(self.inner.image(v))
+
+    def walk_state(self, v):
+        sh = self.inner.walk_state(v)
+        if sh is None:
+            return None
+        hv = self.inner.image(v)
+        sg = self.outer.walk_state(hv)
+        if sg is None:
+            return None
+        return ("C", sh, sg, hv.word[-1] if hv.word else -1)
+
+
+class MemoInversePortrait(_FromParts, InversePortrait):
+    """The inverse by a guided walk that evaluates ``inner.sigma`` from the
+    root at every cursor and memoizes each preimage.  The oracle for
+    ``InversePortrait``."""
+
+    def __init__(self, inner: Portrait):
+        self._img_memo: dict[Word, Word] = {}
+        super().__init__(inner)
+
+    def image(self, v):
+        got = self._img_memo.get(v.word)
+        if got is not None:
+            return TreeVertex(got)
+        y = ROOT
+        for e in self.inner.base_image.word[::-1] + v.word:
+            c = invert(self.inner.sigma(y))[e]
+            y = y.neighbor(c)
+        self._img_memo[v.word] = y.word
+        return y
+
+    def sigma(self, v):
+        return invert(self.inner.sigma(self.image(v)))
+
+    def walk_state(self, v):
+        z = self.image(v)
+        s = self.inner.walk_state(z)
+        if s is None:
+            return None
+        return ("I", s, z.word[-1] if z.word else -1)
+
+
+def memo_oracle(g: Portrait) -> Portrait:
+    """``g`` rebuilt from the oracle classes: each table portrait a
+    ``MemoTablePortrait``, each composition a ``MemoComposedPortrait`` and
+    each inverse a ``MemoInversePortrait``."""
+    if isinstance(g, TablePortrait):
+        return MemoTablePortrait(g)
+    if isinstance(g, ComposedPortrait):
+        return MemoComposedPortrait(memo_oracle(g.outer), memo_oracle(g.inner))
+    if isinstance(g, InversePortrait):
+        return MemoInversePortrait(memo_oracle(g.inner))
+    raise TypeError(f"no memo oracle for {type(g).__name__}")

@@ -195,6 +195,28 @@ class TestDynamics:
         assert code == 2
         assert "error:" in err and "outside the degree" in err
 
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ('{"base_image": "1", "exceptions": []}', "exceptions must map"),
+            ('[{"base_image": "1"}]', "JSON object"),
+            ('{"base_image": 5}', "base_image must be a word"),
+            ('{"base_image": "1", "exceptions": {"": 7}}', "exceptions must map"),
+            ('{"base_image": "1", "extension": "dense"}', "extension must be"),
+            ('{"base_image": "1", "extension": ["sparse"]}', "extension must be"),
+            ('{"base_image": "1", "exceptions": {"0 0": "0 2 1"}}', "backtracking"),
+        ],
+    )
+    def test_malformed_automorphism_document_refused(self, groups, capsys, tmp_path, doc, reason):
+        spec = tmp_path / "bad-auto.json"
+        spec.write_text(doc)
+        code, out, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", str(spec), "--end", ":0,2"],
+        )
+        assert code == 2 and out == ""
+        assert "error: bad automorphism spec" in err and reason in err
+
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nmax_below_one_rejected_at_parsing(self, groups, capsys, nmax):
         with pytest.raises(SystemExit) as exc:

@@ -182,6 +182,18 @@ class TestOrbits:
         assert t.verdict == "growing"
         assert t.counts == (1, 3, 6, 12)
 
+    def test_growth_verdict_is_two_transitivity(self):
+        # from radius 3 the window is constant iff F is 2-transitive and
+        # strictly increasing otherwise, so no third verdict exists
+        for degree in (3, 4, 5):
+            for F in subgroups_of_symmetric(degree):
+                for radius in (3, 4, 7):
+                    g = orbit_count_growth(F, radius)
+                    assert g.stabilized == F.two_transitive, (F.generators, radius)
+                    assert g.verdict in ("stabilized", "growing")
+        with pytest.raises(ValueError):
+            orbit_count_growth(C3, 2)
+
     def test_two_transitive_local_group_gives_single_orbits(self):
         for F in (S3, S4):
             for n in range(5):

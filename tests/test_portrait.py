@@ -1,10 +1,16 @@
 """Portrait evaluation: navigation, composition, inverses, end images."""
 
+import tracemalloc
 from random import Random
 
 import pytest
 
-from helpers import prefix_memo_image_of_end, random_hyperbolic, random_k_portrait
+from helpers import (
+    memo_oracle,
+    prefix_memo_image_of_end,
+    random_hyperbolic,
+    random_k_portrait,
+)
 from building_forge.group import enumerate_ends
 from building_forge.perms import transposition
 from building_forge.tree import (
@@ -21,6 +27,7 @@ from building_forge.tree import (
     identity_portrait,
     iterate_on_end,
     parallel_transport,
+    segment_through_apartment,
     transport_between,
 )
 
@@ -72,6 +79,10 @@ class TestCocycle:
         swap01 = transposition(3, 0, 1)
         g = TablePortrait(ROOT, {(): swap01, (0,): (0, 1, 2)}, 3, strict=False)
         assert g.sigma(TreeVertex((0,))) == (0, 1, 2)
+
+    def test_backtracking_table_key_rejected(self):
+        with pytest.raises(ValueError, match="backtracking"):
+            TablePortrait(ROOT, {(0, 0): (0, 2, 1)}, 3)
 
 
 class TestAlgebra:
@@ -215,3 +226,40 @@ class TestIncrementalWalk:
             return calls, letters
 
         assert validations(100) == validations(200)
+
+
+class TestForwardPasses:
+    """Vertex evaluation keeps no memo: each call is one pass over the word."""
+
+    def test_values_match_the_memoized_evaluation(self):
+        rng = Random(47)
+        family = [random_hyperbolic(rng, 3)[0] for _ in range(6)]
+        for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
+            for _ in range(2):
+                k = random_k_portrait(rng, 3, 3, extension)
+                t = parallel_transport((0, 1, 2), 3)
+                family += [k, k * t, t * k, k.inverse(), (k * t).inverse(), k * t * k.inverse()]
+        family += [g.inverse() for g in family[:6]]
+        for g in family:
+            oracle = memo_oracle(g)
+            assert g.base_image == oracle.base_image
+            for w in ball_words(3, 5):
+                v = TreeVertex(w)
+                assert g.sigma(v) == oracle.sigma(v), (g, w)
+                assert g.image(v) == oracle.image(v), (g, w)
+                assert g.walk_state(v) == oracle.walk_state(v), (g, w)
+
+    def test_peak_memory_grows_linearly_with_the_word(self):
+        def peak(k):
+            """Peak traced bytes over the dynamics of a transport by (0 1)^k."""
+            tracemalloc.start()
+            try:
+                a = parallel_transport((0, 1) * k, 3)
+                classify_isometry(a, default_search_radius(a))
+                iterate_on_end(a, TreeEnd((), (0, 2)), 3)
+                segment_through_apartment(a, ROOT, ROOT, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(500) <= 2.5 * peak(250)
