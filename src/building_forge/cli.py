@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import gelfand, group, hecke, tree
 from .group import LocalGroup, ParseError
@@ -44,24 +45,47 @@ def load_group(path: str) -> LocalGroup:
 # rendering
 
 
+# Text pieces joined into one write: a report never exists whole beside its
+# table, and an unbuffered stdout still sees few system calls.
+WRITE_BATCH = 4096
+
+
+def write_pieces(pieces) -> None:
+    """Write the text ``pieces`` to stdout, ``WRITE_BATCH`` of them per write."""
+    out = sys.stdout
+    pieces = iter(pieces)
+    while batch := list(islice(pieces, WRITE_BATCH)):
+        out.write("".join(batch))
+
+
 def emit_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, in batches."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    write_pieces(chain(chunks, ["\n"]))
+
+
+class _Echo:
+    """A file whose ``write`` hands the text back, so a csv writer yields rows."""
+
+    def write(self, text: str) -> str:
+        return text
 
 
 def emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=fieldnames)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(out.getvalue())
+    writer = csv.DictWriter(_Echo(), fieldnames=fieldnames)
+    write_pieces(chain([writer.writeheader()], map(writer.writerow, rows)))
+
+
+def md_lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+    """A markdown table: the header, its rule, then one line per row of cells."""
+    yield "| " + " | ".join(header) + " |\n"
+    yield "|" + "|".join(" --- " for _ in header) + "|\n"
+    for cells in rows:
+        yield "| " + " | ".join(cells) + " |\n"
 
 
 def emit_md_table(rows: list[dict], fieldnames: list[str]) -> None:
-    print("| " + " | ".join(fieldnames) + " |")
-    print("|" + "|".join(" --- " for _ in fieldnames) + "|")
-    for row in rows:
-        print("| " + " | ".join(str(row[f]) for f in fieldnames) + " |")
+    write_pieces(md_lines(fieldnames, ([str(row[f]) for f in fieldnames] for row in rows)))
 
 
 def word_str(w) -> str:
@@ -134,18 +158,15 @@ def cmd_hecke(args) -> int:
     else:
         print(f"orbit algebra at radius {args.radius}: {verdict.describe()}")
         ids = [o.id for o in sc.orbits]
+
+        def cell(i, j):
+            if not sc.in_budget(i, j):
+                return "."
+            terms = [f"{n}[{k}]" for k, n in sc.products_of(i, j)]
+            return " + ".join(terms) if terms else "0"
+
         header = ["i\\j"] + [str(j) for j in ids]
-        print("| " + " | ".join(header) + " |")
-        print("|" + "|".join(" --- " for _ in header) + "|")
-        for i in ids:
-            cells = []
-            for j in ids:
-                if not sc.in_budget(i, j):
-                    cells.append(".")
-                    continue
-                terms = [f"{n}[{k}]" for k, n in sc.products_of(i, j)]
-                cells.append(" + ".join(terms) if terms else "0")
-            print("| " + " | ".join([str(i)] + cells) + " |")
+        write_pieces(md_lines(header, ([str(i)] + [cell(i, j) for j in ids] for i in ids)))
     return 0
 
 
@@ -179,9 +200,9 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
     ``base_image`` (word), ``exceptions`` (object: word -> one-line
     permutation) and optional ``extension`` ("sparse" or "constant").
     """
-    if spec.startswith("transport:"):
-        return tree.parallel_transport(parse_word(spec[len("transport:"):]), degree)
     try:
+        if spec.startswith("transport:"):
+            return tree.parallel_transport(parse_word(spec[len("transport:"):]), degree)
         doc = json.loads(Path(spec).read_text())
         if not isinstance(doc, dict):
             raise ValueError("the document must be a JSON object")
@@ -191,8 +212,6 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
             raise ValueError("base_image must be a word string")
         if not isinstance(exceptions, dict) or {type(v) for v in exceptions.values()} - {str}:
             raise ValueError("exceptions must map words to permutation strings")
-        if extension not in (tree.EXTEND_SPARSE, tree.EXTEND_CONSTANT):
-            raise ValueError(f'extension must be "sparse" or "constant", not {extension!r}')
         table = {parse_word(k): parse_perm(v, degree) for k, v in exceptions.items()}
         return tree.TablePortrait(TreeVertex(parse_word(base)), table, degree, extension)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -197,6 +197,10 @@ def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
     an end outside the stabilizer shadow of the first axis boundary, and
     scans powers (m, n) in lexicographic (m+n, m) order for an exact
     vertex-orbit disjointness certificate.
+
+    Known gap: the None on the strong side is read off the pair proxy, not
+    derived here, so on that side the report's witness view copies the
+    proxy view rather than checking it.
     """
     if budget < 1:
         return None

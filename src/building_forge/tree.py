@@ -507,6 +507,8 @@ class TablePortrait(Portrait):
     ):
         if degree < 3:
             raise ValueError("thickness requires degree q+1 >= 3")
+        if extension not in (EXTEND_SPARSE, EXTEND_CONSTANT):
+            raise ValueError(f'extension must be "sparse" or "constant", not {extension!r}')
         self.degree = degree
         self.base_image = base_image
         self.extension = extension

@@ -1,15 +1,17 @@
 """Command-line interface: subcommands, formats, flags, exit codes, no files written."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import building_forge
-from building_forge import group
+from building_forge import cli, group
 from building_forge.cli import main
 
 S3_DOC = '{"degree": 3, "generators": ["1 0 2", "0 2 1"]}\n'
@@ -217,6 +219,23 @@ class TestDynamics:
         assert code == 2 and out == ""
         assert "error: bad automorphism spec" in err and reason in err
 
+    @pytest.mark.parametrize(
+        "auto, reason",
+        [
+            ("transport:a,b", "invalid literal for int()"),
+            ("transport:0,5", "outside the degree"),
+            ("transport:0,0", "backtracking"),
+            ("transport:0,-1", "non-negative"),
+        ],
+    )
+    def test_malformed_transport_refused(self, groups, capsys, auto, reason):
+        code, out, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", auto, "--end", ":0,2"],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad automorphism spec {auto!r}: ") and reason in err
+
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nmax_below_one_rejected_at_parsing(self, groups, capsys, nmax):
         with pytest.raises(SystemExit) as exc:
@@ -249,6 +268,84 @@ class TestFindSR:
         )
         assert code == 3
         assert "budget" in err
+
+
+class CountingStdout:
+    """A stdout stand-in that keeps only the number of writes and characters."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+
+
+def synthetic_report(n_rows):
+    """An orbits-shaped report of ``n_rows`` classes."""
+    return {
+        "command": "orbits",
+        "classes": [
+            {"distance": i % 9, "representative": " ".join("01234"[: i % 6]), "size": 4 ** (i % 9)}
+            for i in range(n_rows)
+        ],
+    }
+
+
+class TestEmit:
+    """Reports go out in batches of WRITE_BATCH pieces, as json.dumps would print them."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            {"a": [], "b": {}, "c": [[], [{}]], "d": {"z": {"y": []}}},
+            {"s": "ünïcödé ✓ \u00e9\n\t\"", "ü": ["ß", "€"], "t": True, "f": False, "n": None},
+            {"floats": [0.1, -2.5, 1e300, 3.0], "ints": [0, 10**30], "mixed": [None, 1.5, "x"]},
+            synthetic_report(50),
+        ],
+    )
+    def test_json_equals_dumps(self, capsys, doc):
+        cli.emit_json(doc)
+        assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        """A report of 20,000 rows and the length of its rendered text."""
+        doc = synthetic_report(20_000)
+        return doc, len(json.dumps(doc, sort_keys=True, indent=2)) + 1
+
+    def test_json_writes_are_batched(self, monkeypatch, big):
+        doc, text_length = big
+        chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)) + 1
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        cli.emit_json(doc)
+        assert out.chars == text_length
+        assert out.writes <= math.ceil(chunks / cli.WRITE_BATCH) + 1
+
+    def test_json_peak_memory_below_the_text(self, monkeypatch, big):
+        doc, text_length = big
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            cli.emit_json(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.chars == text_length
+        assert peak < text_length
+
+    def test_csv_and_md_batched(self, monkeypatch, big):
+        rows = big[0]["classes"]
+        fields = ["distance", "representative", "size"]
+        for emit in (cli.emit_csv, cli.emit_md_table):
+            out = CountingStdout()
+            monkeypatch.setattr(sys, "stdout", out)
+            emit(rows, fields)
+            assert out.writes <= math.ceil((len(rows) + 2) / cli.WRITE_BATCH) + 1
 
 
 class TestErrors:

@@ -84,6 +84,11 @@ class TestCocycle:
         with pytest.raises(ValueError, match="backtracking"):
             TablePortrait(ROOT, {(0, 0): (0, 2, 1)}, 3)
 
+    @pytest.mark.parametrize("extension", ["dense", "", None, ["sparse"]])
+    def test_unknown_extension_rule_rejected(self, extension):
+        with pytest.raises(ValueError, match='extension must be "sparse" or "constant", not '):
+            TablePortrait(ROOT, {}, 3, extension)
+
 
 class TestAlgebra:
     def test_composition_and_inverse(self):
