@@ -18,13 +18,14 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from . import gelfand, group, hecke, tree
+from . import group, tree
 from .group import LocalGroup, ParseError
 from .perms import parse_perm
 from .tree import (
     BudgetExhausted,
     InsufficientRadius,
     NotHyperbolic,
+    OutOfBudget,
     ROOT,
     TreeEnd,
     TreeVertex,
@@ -71,12 +72,17 @@ class _Echo:
         return text
 
 
-def emit_csv(rows: list[dict], fieldnames: list[str]) -> None:
-    writer = csv.DictWriter(_Echo(), fieldnames=fieldnames)
-    write_pieces(chain([writer.writeheader()], map(writer.writerow, rows)))
+def csv_lines(header: list[str], rows: Iterable[Iterable]) -> Iterator[str]:
+    """A csv table: the header, then one line per row of cells."""
+    writer = csv.writer(_Echo())
+    return chain([writer.writerow(header)], map(writer.writerow, rows))
 
 
-def md_lines(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
+def emit_csv(rows: Iterable[dict], fieldnames: list[str]) -> None:
+    write_pieces(csv_lines(fieldnames, ([row[f] for f in fieldnames] for row in rows)))
+
+
+def md_lines(header: list[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
     """A markdown table: the header, its rule, then one line per row of cells."""
     yield "| " + " | ".join(header) + " |\n"
     yield "|" + "|".join(" --- " for _ in header) + "|\n"
@@ -96,38 +102,54 @@ def word_str(w) -> str:
 # subcommands
 
 
+# One entry of an orbits report's "classes" list as ``json.dumps(...,
+# indent=2)`` lays it out; its cells are ints and words of digits and
+# spaces, which need no escaping.
+_ORBIT_CLASS_JSON = (
+    '    {\n      "distance": %d,\n      "representative": "%s",\n      "size": %d\n    }'
+)
+
+
+def _orbit_class_pieces(rows: Iterable[tuple[int, str, int]]) -> Iterator[str]:
+    """The "classes" list of an orbits report, one piece per row, without
+    its brackets."""
+    sep = ""
+    for row in rows:
+        yield sep + _ORBIT_CLASS_JSON % row
+        sep = ",\n"
+
+
 def cmd_orbits(args) -> int:
     F = load_group(args.group)
     table = group.orbit_table(F, args.radius)
-    rows = [
-        {
-            "distance": c.distance,
-            "representative": word_str(c.representative),
-            "size": c.size,
-        }
-        for c in table.classes
-    ]
+    fields = ["distance", "representative", "size"]
+    rows = ((c.distance, word_str(c.representative), c.size) for c in table.classes)
     if args.format == "json":
-        emit_json(
-            {
-                "format_version": 3,
-                "command": "orbits",
-                "degree": F.degree,
-                "generator_hash": F.hash_key(),
-                "radius": table.radius,
-                "sphere_counts": table.sphere_counts(),
-                "classes": rows,
-            }
+        rest = {
+            "format_version": 3,
+            "command": "orbits",
+            "degree": F.degree,
+            "generator_hash": F.hash_key(),
+            "radius": table.radius,
+            "sphere_counts": table.sphere_counts(),
+        }
+        # "classes" sorts before every other key, and a table has at least
+        # the base class, so the list opens the document
+        tail = json.dumps(rest, sort_keys=True, indent=2)
+        write_pieces(
+            chain(['{\n  "classes": [\n'], _orbit_class_pieces(rows), ["\n  ],\n", tail[2:], "\n"])
         )
     elif args.format == "csv":
-        emit_csv(rows, ["distance", "representative", "size"])
+        write_pieces(csv_lines(fields, rows))
     else:
         print(f"orbit classes, radius {table.radius}, sphere counts {table.sphere_counts()}")
-        emit_md_table(rows, ["distance", "representative", "size"])
+        write_pieces(md_lines(fields, (map(str, row) for row in rows)))
     return 0
 
 
 def cmd_hecke(args) -> int:
+    from . import hecke
+
     F = load_group(args.group)
     sc = hecke.intersection_numbers(F, args.radius)
     verdict = hecke.commutativity_of(sc)
@@ -171,6 +193,8 @@ def cmd_hecke(args) -> int:
 
 
 def cmd_gelfand(args) -> int:
+    from . import gelfand
+
     F = load_group(args.group)
     verdict = gelfand.main_theorem_report(F, args.radius, args.budget)
     doc = verdict.to_dict()
@@ -265,6 +289,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_find_sr(args) -> int:
+    from . import gelfand
+
     F = load_group(args.group)
     g, cls = gelfand.find_strongly_regular(F, args.budget)
     doc = {
@@ -347,7 +373,7 @@ def main(argv=None) -> int:
         loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"error: {exc}{loc}", file=sys.stderr)
         return 2
-    except (BudgetExhausted, InsufficientRadius, hecke.OutOfBudget) as exc:
+    except (BudgetExhausted, InsufficientRadius, OutOfBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotHyperbolic, ValueError, OSError) as exc:

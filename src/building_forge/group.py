@@ -7,7 +7,7 @@ its orbits on color words grow one letter at a time.
 
 If g in K moves w to u, its local permutation at w is any s in F with
 s(w[-1]) = u[-1], so the orbit of w + (c,) is {u + (e,) : u in orbit(w),
-e in F.post(w[-1], u[-1], c)}.  Two children r + (c,), r + (c',) of a
+e in F.posts(w[-1], c)[u[-1]]}.  Two children r + (c,), r + (c',) of a
 representative r thus share an orbit iff c' lies in F.post(r[-1], r[-1], c).
 This split rule, ``_child_colors``, grows the orbit tables and counts the
 orbits on spheres and on pairs of arms without a table.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import perms, tree
@@ -52,7 +53,9 @@ class LocalGroup:
 
     ``degree`` is q+1 >= 3 (thickness).  The element table is the full
     closure of the generators; transitivity flags are computed, never
-    asserted.
+    asserted.  ``posts(c, c2)`` is the transition table of the color pair
+    (c, c2), filled by one pass over the elements on first use; after that a
+    K-orbit extension step costs one lookup per letter.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm]):
@@ -72,7 +75,7 @@ class LocalGroup:
         self.transitive = len({p[0] for p in self.elements}) == degree
         pairs = {(p[0], p[1]) for p in self.elements}
         self.two_transitive = len(pairs) == degree * (degree - 1)
-        self._post: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._posts: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._images: dict[int, tuple[int, ...]] = {}
 
     def __contains__(self, p: Perm) -> bool:
@@ -88,14 +91,22 @@ class LocalGroup:
             self._images[c] = got
         return got
 
+    def posts(self, c: int, c2: int) -> tuple[tuple[int, ...], ...]:
+        """The transition table of the color pair (c, c2): entry e holds the
+        possible images of c2 under the elements mapping c to e, sorted."""
+        key = (c, c2)
+        got = self._posts.get(key)
+        if got is None:
+            buckets: list[set[int]] = [set() for _ in range(self.degree)]
+            for p in self.elements:
+                buckets[p[c]].add(p[c2])
+            got = tuple(tuple(sorted(b)) for b in buckets)
+            self._posts[key] = got
+        return got
+
     def post(self, c: int, e: int, c2: int) -> tuple[int, ...]:
         """Possible images of c2 under elements pinned by c -> e."""
-        key = (c, e, c2)
-        got = self._post.get(key)
-        if got is None:
-            got = tuple(sorted({p[c2] for p in self.elements if p[c] == e}))
-            self._post[key] = got
-        return got
+        return self.posts(c, c2)[e]
 
     def hash_key(self) -> str:
         payload = f"{self.degree}|" + ";".join(
@@ -146,19 +157,20 @@ def k_orbit(
     """The orbit of a sphere word under the base-vertex stabilizer of U(F).
 
     With ``parent``, the orbit of word[:-1], this is one extension step:
-    {u + (e,) : u in parent, e in F.post(word[-2], u[-1], word[-1])}, with
-    F.images_of(word[0]) for the first letter.  Without it the step is
-    repeated over the prefixes of ``word``, building each prefix orbit once.
+    {u + (e,) : u in parent, e in step[u[-1]]}, where step is the transition
+    table F.posts(word[-2], word[-1]), with F.images_of(word[0]) for the
+    first letter.  Without it the step is repeated over the prefixes of
+    ``word``, building each prefix orbit once.  Cost: one table lookup per
+    letter, then one tuple per orbit member.
     """
     orbit, start = ({()}, 1) if parent is None else (parent, len(word))
-    post = F.post
     for n in range(start, len(word) + 1):
         c = word[n - 1]
         if n == 1:
             orbit = {(e,) for e in F.images_of(c)}
         else:
-            c_prev = word[n - 2]
-            orbit = {u + (e,) for u in orbit for e in post(c_prev, u[-1], c)}
+            step = F.posts(word[n - 2], c)
+            orbit = {u + (e,) for u in orbit for e in step[u[-1]]}
     # hold ``word`` itself, not an equal copy, so that a caller keeping it
     # as the representative stores the tuple once
     orbit.discard(word)
@@ -222,11 +234,12 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
     """The K-orbits on the ball of ``radius``, grown sphere by sphere.
 
     Each class r on sphere n has one child class r + (c,) on sphere n+1 for
-    each c in ``_child_colors(F, r[-1])``; r + (c,) is its lexicographic
-    minimum, and its members are one ``k_orbit`` extension step from r's
-    members.  Cost: one extension step per class, each ball word built once
-    and held, so a ball of more than ``_BALL_WORD_CAP`` words is refused
-    before any work.
+    each c in ``_child_colors(F, r[-1])``, computed once per last color;
+    r + (c,) is its lexicographic minimum, and its members are one
+    ``k_orbit`` extension step from r's members.  Cost: one extension step
+    per class, that is one transition-table lookup and one tuple per member,
+    each ball word built once and held, so a ball of more than
+    ``_BALL_WORD_CAP`` words is refused before any work.
     """
     q = F.degree - 1
     words = 1 + F.degree * (q**radius - 1) // (q - 1)
@@ -235,13 +248,14 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
             f"the ball of radius {radius} has {words} words, above the cap of "
             f"{_BALL_WORD_CAP}"
         )
+    kids = cache(lambda last: _child_colors(F, last))
     classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
     sphere = classes
     for n in range(1, radius + 1):
         children: list[tuple[Word, frozenset[Word]]] = []
         for cls in sphere:
             r = cls.representative
-            for c in _child_colors(F, r[-1] if r else None):
+            for c in kids(r[-1] if r else None):
                 children.append((r + (c,), cls.members))
         children.sort(key=lambda child: child[0])
         sphere = [
@@ -326,7 +340,7 @@ def two_transitivity_on_ends_proxy(F: LocalGroup, n: int) -> bool:
     vertex transitivity, so this asks whether K, the base-vertex stabilizer,
     has one orbit on pairs (u, v) of depth-n words with u[0] != v[0].  The
     orbits are counted by ``_pair_orbit_count``, never enumerated.  Cost:
-    O(n * d^2) after the ``post`` cache fills, with no sphere held.
+    O(n * d^2) after the ``posts`` tables fill, with no sphere held.
     """
     if n < 2:
         raise ValueError("the proxy needs depth n >= 2")

@@ -31,13 +31,9 @@ from fractions import Fraction
 from typing import Iterator
 
 from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
-from .tree import Word, reduce_word
+from .tree import OutOfBudget, Word, reduce_word
 
 FORMAT_VERSION = 1
-
-
-class OutOfBudget(ValueError):
-    """A requested entry or convolution exceeds the computed radius budget."""
 
 
 def _transport(y: Word, z: Word) -> Word:

@@ -51,6 +51,11 @@ class BudgetExhausted(RuntimeError):
     repeat, or a ball too large to build."""
 
 
+class OutOfBudget(ValueError):
+    """A Hecke entry or convolution beyond the radius the tensor was
+    computed to; kept here so that the CLI maps it without loading hecke."""
+
+
 class NotHyperbolic(ValueError):
     """A hyperbolic automorphism was required."""
 

@@ -5,11 +5,14 @@ check: brute-force counts over balls, direct deep-vertex evaluation for end
 images, exhaustive enumeration of constrained local data.
 """
 
+import csv
+import io
+import json
 from functools import cache
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
-from building_forge.group import LocalGroup, k_orbit
+from building_forge.group import LocalGroup, OrbitTable, k_orbit
 from building_forge.perms import compose, identity, invert, transposition
 from building_forge.tree import (
     _END_WALK_CAP,
@@ -61,6 +64,44 @@ def subgroups_of_symmetric(degree: int) -> tuple[LocalGroup, ...]:
         F = LocalGroup(degree, [a, b])
         found.setdefault(F.elements, F)
     return tuple(found.values())
+
+
+def orbits_report(F: LocalGroup, table: OrbitTable, fmt: str) -> str:
+    """The ``orbits`` report rendered from one dict per class by the
+    standard library: the reference the CLI's row writer must match."""
+    fields = ["distance", "representative", "size"]
+    rows = [
+        {
+            "distance": c.distance,
+            "representative": " ".join(map(str, c.representative)),
+            "size": c.size,
+        }
+        for c in table.classes
+    ]
+    if fmt == "json":
+        doc = {
+            "format_version": 3,
+            "command": "orbits",
+            "degree": F.degree,
+            "generator_hash": F.hash_key(),
+            "radius": table.radius,
+            "sphere_counts": table.sphere_counts(),
+            "classes": rows,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+        return out.getvalue()
+    lines = [
+        f"orbit classes, radius {table.radius}, sphere counts {table.sphere_counts()}",
+        "| distance | representative | size |",
+        "| --- | --- | --- |",
+    ]
+    lines += ["| " + " | ".join(str(row[f]) for f in fields) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:

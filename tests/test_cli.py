@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import building_forge
+from helpers import orbits_report
 from building_forge import cli, group
 from building_forge.cli import main
 
@@ -72,6 +73,33 @@ class TestOrbits:
             ["orbits", "--group", groups["c3"], "--radius", "2", "--format", "md"],
         )
         assert "| distance | representative | size |" in out
+
+
+ORBITS_DOCS = {
+    "trivial3": '{"degree": 3, "generators": []}\n',
+    "C3": C3_DOC,
+    "C5": '{"degree": 5, "generators": ["1 2 3 4 0"]}\n',
+    "S3": S3_DOC,
+    "D4": '{"degree": 4, "generators": ["1 2 3 0", "3 2 1 0"]}\n',
+}
+
+
+class TestOrbitsRowWriter:
+    """The report is written row by row from the table, byte for byte as the
+    standard library renders a list of one dict per class."""
+
+    @pytest.mark.parametrize("name", sorted(ORBITS_DOCS))
+    def test_every_format_matches_the_dict_rows_rendering(self, name, capsys, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(ORBITS_DOCS[name])
+        F = group.parse_local_group(ORBITS_DOCS[name])
+        for radius in range(5):
+            table = group.orbit_table(F, radius)
+            for fmt in ("json", "csv", "md"):
+                argv = ["orbits", "--group", str(path), "--radius", str(radius), "--format", fmt]
+                code, out, err = run(capsys, argv)
+                assert (code, err) == (0, ""), (name, radius, fmt)
+                assert out == orbits_report(F, table, fmt), (name, radius, fmt)
 
 
 class TestHecke:
@@ -465,6 +493,25 @@ class TestImports:
 
     def test_package_loads_no_submodule(self):
         assert self.loaded("import building_forge") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--radius", "3"],
+            ["dynamics", "--auto", "transport:0,1", "--end", ":0,2", "--nmax", "3"],
+        ],
+    )
+    def test_command_leaves_gelfand_and_hecke_out(self, tmp_path, argv):
+        path = tmp_path / "c3.json"
+        path.write_text(C3_DOC)
+        argv = [argv[0], "--group", str(path), *argv[1:]]
+        loaded = self.loaded(
+            "import io, building_forge.cli as cli; out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = cli.main({argv!r}); sys.stdout = out; assert code == 0"
+        )
+        assert "building_forge.group" in loaded
+        assert "building_forge.gelfand" not in loaded
+        assert "building_forge.hecke" not in loaded
 
     def test_cli_leaves_coxeter_out(self):
         loaded = self.loaded("import building_forge.cli")

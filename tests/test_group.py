@@ -380,3 +380,62 @@ class TestOrbitTableAgainstSphereScan:
                 assert k_orbit(F, w, orbit_of[w[:-1]]) == full, (F, w)
                 assert full == dfs_k_orbit(F, w), (F, w)
                 orbit_of[w] = full
+
+
+class CountingElements(tuple):
+    """A group's element table that counts the passes made over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestTransitionTable:
+    """``posts(c, c2)[e]`` are the images of c2 under the elements mapping c
+    to e; one pass over the elements fills each pair's table."""
+
+    def test_matches_the_element_scan(self):
+        for F in S3_SUBGROUPS + S4_SUBGROUPS + subgroups_of_symmetric(5):
+            colors = range(F.degree)
+            for c in colors:
+                for c2 in colors:
+                    table = F.posts(c, c2)
+                    assert len(table) == F.degree, (F, c, c2)
+                    for e in colors:
+                        expect = tuple(sorted({p[c2] for p in F.elements if p[c] == e}))
+                        assert table[e] == expect, (F, c, e, c2)
+                        assert F.post(c, e, c2) == expect, (F, c, e, c2)
+
+    @pytest.mark.parametrize(
+        "degree, gens",
+        [(5, [(1, 2, 3, 4, 0)]), (4, [(1, 2, 3, 0), (3, 2, 1, 0)]), (4, [(1, 0, 2, 3)])],
+    )
+    def test_each_pair_scans_the_elements_once(self, degree, gens):
+        F = LocalGroup(degree, gens)
+        F.elements = CountingElements(F.elements)
+        for radius in range(5):
+            orbit_table(F, radius)
+        colors = range(degree)
+        for c in colors:
+            F.images_of(c)
+            for e in colors:
+                for c2 in colors:
+                    F.post(c, e, c2)
+        # one pass per color for images_of, one per ordered pair for posts
+        assert F.elements.scans <= degree + degree * degree
+
+    def test_child_colors_once_per_last_color(self, monkeypatch):
+        calls = []
+        child_colors = group._child_colors
+
+        def counted(F, last):
+            calls.append(last)
+            return child_colors(F, last)
+
+        monkeypatch.setattr(group, "_child_colors", counted)
+        for F in (make_trivial(3), C3, LocalGroup(5, [(1, 2, 3, 4, 0)]), S4):
+            calls.clear()
+            orbit_table(F, 5)
+            assert len(calls) <= F.degree + 1, F
