@@ -153,7 +153,6 @@ def cmd_hecke(args) -> int:
     F = load_group(args.group)
     sc = hecke.intersection_numbers(F, args.radius)
     verdict = hecke.commutativity_of(sc)
-    rows = [{"i": i, "j": j, "k": k, "N": n} for (i, j, k, n) in sc.entries()]
     if args.format == "json":
         emit_json(
             {
@@ -172,11 +171,13 @@ def cmd_hecke(args) -> int:
                     }
                     for o in sc.orbits
                 ],
-                "constants": rows,
+                "constants": [
+                    {"i": i, "j": j, "k": k, "N": n} for (i, j, k, n) in sc.entries()
+                ],
             }
         )
     elif args.format == "csv":
-        emit_csv(rows, ["i", "j", "k", "N"])
+        write_pieces(csv_lines(["i", "j", "k", "N"], sc.entries()))
     else:
         print(f"orbit algebra at radius {args.radius}: {verdict.describe()}")
         ids = [o.id for o in sc.orbits]

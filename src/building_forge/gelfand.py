@@ -22,7 +22,7 @@ beyond their depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group import (
     GrowthReport,
@@ -50,8 +50,7 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class StrongTransitivityReport:
+class StrongTransitivityReport(NamedTuple):
     """Finite-depth shadows of boundary transitivity, with their depths."""
 
     depth: int
@@ -114,8 +113,7 @@ def find_strongly_regular(F: LocalGroup, budget: int) -> tuple[Portrait, Isometr
 # witness pairs
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """Two hyperbolic elements whose coset products separate.
 
     ``certificate`` holds the two exact vertex-orbit sets whose disjointness
@@ -256,8 +254,7 @@ def evaluate_noncommutativity(
 # the assembled verdict
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """All three views of the dichotomy for one local group, with depths."""
 
     degree: int

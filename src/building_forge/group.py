@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import perms, tree
 from .perms import Perm
@@ -184,8 +183,7 @@ def k_orbit(
 # orbit tables
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     id: int
     distance: int
     representative: Word
@@ -196,8 +194,7 @@ class OrbitClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(NamedTuple):
     """Stabilizer orbits on the closed ball of a given radius.
 
     ``classes`` partition the ball, ordered by (distance, representative).
@@ -270,8 +267,7 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
 # strong-transitivity proxies
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Per-sphere orbit counts with the finite-depth verdict.
 
     From radius 3 the window of the last three spheres is constant iff F is

@@ -26,12 +26,13 @@ refuses (OutOfBudget), never silently truncated.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
 from .tree import OutOfBudget, Word, reduce_word
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 FORMAT_VERSION = 1
 
@@ -142,35 +143,45 @@ def intersection_numbers(F: LocalGroup, radius: int) -> StructureConstants:
     return StructureConstants(F, radius)
 
 
-@dataclass(frozen=True)
-class KernelFunction:
-    """A finitely supported kernel: exact rational coefficients per orbit."""
+class KernelFunction(NamedTuple):
+    """A finitely supported kernel: exact rational coefficients per orbit.
+
+    Kernels are equal when their coefficients are; ``fractions`` is imported
+    on first use, since no subcommand builds a kernel.
+    """
 
     coefficients: tuple[tuple[int, Fraction], ...]
     support_radius: int
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, Fraction], sc: StructureConstants):
+        from fractions import Fraction
+
         clean = {i: Fraction(c) for i, c in coeffs.items() if c}
         radius = max((sc.distance(i) for i in clean), default=0)
         return cls(tuple(sorted(clean.items())), radius)
 
     @classmethod
     def unit(cls, sc: StructureConstants):
-        return cls.from_dict({0: Fraction(1)}, sc)
+        return cls.from_dict({0: 1}, sc)
 
     @classmethod
     def indicator(cls, sc: StructureConstants, orbit_id: int):
-        return cls.from_dict({orbit_id: Fraction(1)}, sc)
+        return cls.from_dict({orbit_id: 1}, sc)
 
     def coefficient(self, orbit_id: int) -> Fraction:
         for i, c in self.coefficients:
             if i == orbit_id:
                 return c
+        from fractions import Fraction
+
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KernelFunction) and self.coefficients == other.coefficients
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self):
         return hash(self.coefficients)
@@ -187,12 +198,11 @@ def convolve(phi: KernelFunction, psi: KernelFunction, sc: StructureConstants) -
     for i, ci in phi.coefficients:
         for j, cj in psi.coefficients:
             for k, n in sc.products_of(i, j):
-                out[k] = out.get(k, Fraction(0)) + ci * cj * n
+                out[k] = out.get(k, 0) + ci * cj * n
     return KernelFunction.from_dict(out, sc)
 
 
-@dataclass(frozen=True)
-class HeckeVerdict:
+class HeckeVerdict(NamedTuple):
     """Commutativity verdict, certified up to the computed radius."""
 
     radius: int

@@ -23,9 +23,8 @@ provably cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import Perm, compose, identity, invert, transposition
 
@@ -122,19 +121,54 @@ def ball_words(degree: int, radius: int) -> Iterator[Word]:
         yield from sphere_words(degree, n)
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass names its fields in ``__slots__``, sets them in ``__init__``
+    through ``object.__setattr__`` and returns them from ``_key``.  Values
+    are equal when of the same class with equal keys and hash as their key,
+    so sets and dicts of them iterate in a fixed order.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the slots refuse the default state copy
+        return self.__class__, self._key()
+
+
+class TreeVertex(_Value):
     """A vertex: a non-backtracking color word from the base vertex."""
 
-    word: Word = ()
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        w = tuple(int(c) for c in self.word)
+    def __init__(self, word: Word = ()):
+        w = tuple(int(c) for c in word)
         if any(c < 0 for c in w):
             raise ValueError("colors are non-negative integers")
         if not is_nonbacktracking(w):
             raise ValueError(f"backtracking word {w}")
         object.__setattr__(self, "word", w)
+
+    def _key(self) -> tuple:
+        return (self.word,)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -189,8 +223,7 @@ def _primitive(period: Word) -> Word:
     return period
 
 
-@dataclass(frozen=True)
-class TreeEnd:
+class TreeEnd(_Value):
     """An end: prefix + periodic tail, normalized.
 
     Normal form: the period is primitive and the prefix is shortest (letters
@@ -198,12 +231,11 @@ class TreeEnd:
     descriptors denote the same end iff their normal forms are equal.
     """
 
-    prefix: Word
-    period: Word
+    __slots__ = ("prefix", "period")
 
-    def __post_init__(self):
-        pre = tuple(int(c) for c in self.prefix)
-        per = _primitive(tuple(int(c) for c in self.period))
+    def __init__(self, prefix: Word, period: Word):
+        pre = tuple(int(c) for c in prefix)
+        per = _primitive(tuple(int(c) for c in period))
         if not per:
             raise ValueError("period must be nonempty")
         if any(c < 0 for c in pre + per):
@@ -216,6 +248,9 @@ class TreeEnd:
             raise ValueError(f"not a non-backtracking end: prefix={pre} period={per}")
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "period", per)
+
+    def _key(self) -> tuple:
+        return (self.prefix, self.period)
 
     def letter(self, k: int) -> int:
         if k < len(self.prefix):
@@ -250,26 +285,28 @@ class TreeEnd:
         return f"TreeEnd({pre} | {per})"
 
 
-@dataclass(frozen=True)
-class TreeApartment:
+class TreeApartment(_Value):
     """The bi-infinite geodesic spanned by two distinct ends.
 
     Integer coordinates along the line: 0 at the branch vertex (the point
-    where the two rays from the base vertex separate), increasing toward
-    end_plus.
+    where the two rays from the base vertex separate, at ``branch_depth``),
+    increasing toward end_plus.
     """
 
-    end_minus: TreeEnd
-    end_plus: TreeEnd
+    __slots__ = ("end_minus", "end_plus", "branch_depth")
 
-    def __post_init__(self):
-        if self.end_minus == self.end_plus:
+    def __init__(self, end_minus: TreeEnd, end_plus: TreeEnd):
+        if end_minus == end_plus:
             raise ValueError("the two ends of an apartment must be distinct")
-        object.__setattr__(self, "_branch", self.end_minus.agreement_depth(self.end_plus))
+        object.__setattr__(self, "end_minus", end_minus)
+        object.__setattr__(self, "end_plus", end_plus)
+        object.__setattr__(self, "branch_depth", end_minus.agreement_depth(end_plus))
 
-    @property
-    def branch_depth(self) -> int:
-        return self._branch  # type: ignore[attr-defined]
+    def _key(self) -> tuple:
+        return (self.end_minus, self.end_plus)
+
+    def __repr__(self) -> str:
+        return f"TreeApartment(end_minus={self.end_minus!r}, end_plus={self.end_plus!r})"
 
     def vertex_at(self, t: int) -> TreeVertex:
         if t >= 0:
@@ -301,16 +338,22 @@ def standard_apartment() -> TreeApartment:
     return TreeApartment(TreeEnd((), (1, 0)), TreeEnd((), (0, 1)))
 
 
-@dataclass(frozen=True)
-class ConeNeighborhood:
+class ConeNeighborhood(_Value):
     """Basic neighborhood of an end: agreement with its ray to depth r."""
 
-    ray_target: TreeEnd
-    r: int
+    __slots__ = ("ray_target", "r")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, ray_target: TreeEnd, r: int):
+        if r < 1:
             raise ValueError("cone neighborhoods need depth r >= 1")
+        object.__setattr__(self, "ray_target", ray_target)
+        object.__setattr__(self, "r", r)
+
+    def _key(self) -> tuple:
+        return (self.ray_target, self.r)
+
+    def __repr__(self) -> str:
+        return f"ConeNeighborhood(ray_target={self.ray_target!r}, r={self.r!r})"
 
     def contains_end(self, xi: TreeEnd) -> bool:
         return xi.word_prefix(self.r) == self.ray_target.word_prefix(self.r)
@@ -699,8 +742,7 @@ def transport_between(src: TreeVertex, dst: TreeVertex, degree: int) -> TablePor
 # isometry classification
 
 
-@dataclass(frozen=True)
-class IsometryClass:
+class IsometryClass(NamedTuple):
     kind: str  # "elliptic" | "inversion" | "hyperbolic"
     length: int = 0
     fixed_vertex: TreeVertex | None = None

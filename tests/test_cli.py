@@ -476,12 +476,9 @@ class TestImports:
     """The package imports no submodule, so a command loads only what it runs."""
 
     def loaded(self, statement):
-        """The building_forge submodules a fresh interpreter holds after it."""
+        """The modules a fresh interpreter holds after ``statement``."""
         src = str(Path(building_forge.__file__).parents[1])
-        code = (
-            f"import sys; {statement}; "
-            "print(*sorted(m for m in sys.modules if m.startswith('building_forge.')))"
-        )
+        code = f"import sys; {statement}; print(*sorted(sys.modules))"
         got = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=src),
@@ -489,10 +486,22 @@ class TestImports:
             text=True,
         )
         assert got.returncode == 0, got.stderr
-        return got.stdout.split()
+        return set(got.stdout.split())
+
+    def run_command(self, tmp_path, argv):
+        """The modules a fresh interpreter holds after ``cli.main`` runs
+        ``argv`` on the C3 document."""
+        path = tmp_path / "c3.json"
+        path.write_text(C3_DOC)
+        argv = [argv[0], "--group", str(path), *argv[1:]]
+        return self.loaded(
+            "import io, building_forge.cli as cli; out, sys.stdout = sys.stdout, io.StringIO(); "
+            f"code = cli.main({argv!r}); sys.stdout = out; assert code == 0"
+        )
 
     def test_package_loads_no_submodule(self):
-        assert self.loaded("import building_forge") == []
+        loaded = self.loaded("import building_forge")
+        assert not [m for m in loaded if m.startswith("building_forge.")]
 
     @pytest.mark.parametrize(
         "argv",
@@ -502,16 +511,27 @@ class TestImports:
         ],
     )
     def test_command_leaves_gelfand_and_hecke_out(self, tmp_path, argv):
-        path = tmp_path / "c3.json"
-        path.write_text(C3_DOC)
-        argv = [argv[0], "--group", str(path), *argv[1:]]
-        loaded = self.loaded(
-            "import io, building_forge.cli as cli; out, sys.stdout = sys.stdout, io.StringIO(); "
-            f"code = cli.main({argv!r}); sys.stdout = out; assert code == 0"
-        )
+        loaded = self.run_command(tmp_path, argv)
         assert "building_forge.group" in loaded
         assert "building_forge.gelfand" not in loaded
         assert "building_forge.hecke" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--radius", "3"],
+            ["hecke", "--radius", "3"],
+            ["gelfand"],
+            ["dynamics", "--auto", "transport:0,1", "--end", ":0,2", "--nmax", "3"],
+            ["find-sr"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_loads_no_dataclasses_inspect_or_fractions(self, tmp_path, argv):
+        # against a bare interpreter, since a site .pth file may preload modules
+        added = self.run_command(tmp_path, argv) - self.loaded("pass")
+        assert "building_forge.cli" in added
+        assert not added & {"dataclasses", "inspect", "fractions"}
 
     def test_cli_leaves_coxeter_out(self):
         loaded = self.loaded("import building_forge.cli")

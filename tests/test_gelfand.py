@@ -172,6 +172,12 @@ class TestMainTheoremReport:
             assert key in doc
         assert doc["witness"]["m"] >= 1
 
+    def test_verdict_is_frozen(self):
+        v = main_theorem_report(C3, 3)
+        with pytest.raises(AttributeError):
+            v.consistent = False
+        assert v.consistent
+
     def test_every_small_group(self):
         """Every subgroup of S3 and S4 at depths 3-5, every 2-generated
         subgroup of S5 at depths 3-4: each report is consistent, and its

@@ -216,16 +216,16 @@ class TestIncrementalWalk:
             transport by a word of length 2k."""
             a = parallel_transport((0, 1) * k, 3)
             calls = letters = 0
-            validate = TreeVertex.__post_init__
+            validate = TreeVertex.__init__
 
-            def counting(self):
+            def counting(self, word=()):
                 nonlocal calls, letters
+                validate(self, word)
                 calls += 1
                 letters += len(self.word)
-                validate(self)
 
             with monkeypatch.context() as m:
-                m.setattr(TreeVertex, "__post_init__", counting)
+                m.setattr(TreeVertex, "__init__", counting)
                 classify_isometry(a, default_search_radius(a))
                 iterate_on_end(a, TreeEnd((), (0, 2)), 3)
             return calls, letters

@@ -1,5 +1,8 @@
 """Vertex words, ends, apartments, cone neighborhoods."""
 
+import copy
+import pickle
+
 import pytest
 
 from building_forge.tree import (
@@ -145,3 +148,57 @@ class TestConeNeighborhood:
     def test_depth_validated(self):
         with pytest.raises(ValueError):
             ConeNeighborhood(TreeEnd((), (0, 1)), 0)
+
+
+class TestValueTypes:
+    """Vertices, ends, apartments and cone neighborhoods are frozen values:
+    equal when of one class with equal normalized fields, hashed by those
+    fields, with the reprs the reports and notes print."""
+
+    # (class, arguments, other arguments naming the same value, repr)
+    VALUES = [
+        (TreeVertex, ((0, 1, 2),), ([0, 1, 2],), "TreeVertex(0 1 2)"),
+        (TreeEnd, ((0, 1), (2, 1)), ((0,), (1, 2, 1, 2)), "TreeEnd(0 | 1 2)"),
+        (
+            TreeApartment,
+            (TreeEnd((), (1, 0)), TreeEnd((), (0, 1))),
+            (TreeEnd((1,), (0, 1)), TreeEnd((0,), (1, 0))),
+            "TreeApartment(end_minus=TreeEnd( | 1 0), end_plus=TreeEnd( | 0 1))",
+        ),
+        (
+            ConeNeighborhood,
+            (TreeEnd((), (0, 1)), 3),
+            (TreeEnd((0, 1), (0, 1, 0, 1)), 3),
+            "ConeNeighborhood(ray_target=TreeEnd( | 0 1), r=3)",
+        ),
+    ]
+    IDS = ["vertex", "end", "apartment", "cone"]
+
+    @pytest.mark.parametrize("cls, args, same, text", VALUES, ids=IDS)
+    def test_assignment_refused(self, cls, args, same, text):
+        v = cls(*args)
+        for name in (*cls.__slots__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert repr(v) == text
+
+    @pytest.mark.parametrize("cls, args, same, text", VALUES, ids=IDS)
+    def test_equal_values_hash_equal(self, cls, args, same, text):
+        a, b = cls(*args), cls(*same)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert repr(b) == text
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+
+    def test_values_equal_only_their_own_class(self):
+        assert TreeVertex(()) != ()
+        assert TreeVertex(()) == TreeVertex() == ROOT
+        end = TreeEnd((), (0, 1))
+        assert end != ((), (0, 1))
+        assert ConeNeighborhood(end, 1) != (end, 1)
+
+    def test_normal_form_is_stored(self):
+        end = TreeEnd((2, 0, 1), (0, 1, 0, 1))
+        assert (end.prefix, end.period) == ((2,), (0, 1))
+        assert TreeVertex([0, 1]).word == (0, 1)
