@@ -258,12 +258,20 @@ def parse_end(spec: str, degree: int) -> TreeEnd:
 
 
 def cmd_dynamics(args) -> int:
-    degree = load_group(args.group).degree
+    F = load_group(args.group)
+    degree = F.degree
     a = parse_automorphism(args.auto, degree)
     xi = parse_end(args.end, degree)
-    ends = tree.iterate_on_end(a, xi, args.nmax)
-    overlaps = tree.segment_through_apartment(a, ROOT, ROOT, args.nmax)
-    cls = tree.classify_isometry(a, tree.default_search_radius(a))
+    outside = F.first_outside(a)
+    if outside is not None:
+        raise ParseError(
+            f"automorphism {args.auto!r} is not in U(F): its local permutation "
+            f"at the vertex {outside.word} is not in the group"
+        )
+    radius = tree.default_search_radius(a)
+    cls = tree.classify_isometry(a, radius)
+    ends = tree.iterate_on_end(a, cls, xi, args.nmax)
+    overlaps = tree.segment_through_apartment(a, cls, ROOT, ROOT, args.nmax)
     plus = cls.axis.end_plus
     rows = []
     for n in range(1, args.nmax + 1):
@@ -274,7 +282,7 @@ def cmd_dynamics(args) -> int:
         "command": "dynamics",
         "degree": degree,
         "translation_length": cls.length,
-        "certification_radius": tree.default_search_radius(a),
+        "certification_radius": radius,
         "nmax": args.nmax,
         "rows": rows,
         "note": "agreement_depth -1 means the iterate equals the attracting end",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -31,6 +32,7 @@ from .tree import (
     NotHyperbolic,
     Portrait,
     TreeEnd,
+    TreeVertex,
     Word,
     constant_portrait,
     parallel_transport,
@@ -82,6 +84,28 @@ class LocalGroup:
 
     def order(self) -> int:
         return len(self.elements)
+
+    def first_outside(self, g: Portrait) -> TreeVertex | None:
+        """The shortlex-first vertex whose local permutation under g is not
+        in F, or None when g lies in U(F).
+
+        The subtree beyond a vertex w + (c,) is a function of g's state
+        there and of c, so a breadth-first search in shortlex order that
+        visits each (state, last color) pair once meets the first offending
+        vertex; it ends because a portrait has finitely many states.
+        """
+        queue = deque([((), g.start)])
+        seen = set()
+        while queue:
+            w, state = queue.popleft()
+            moves = [g.step(state, c) for c in range(g.degree)]
+            if tuple(e for e, _ in moves) not in self:
+                return TreeVertex(w)
+            for c, (_, nxt) in enumerate(moves):
+                if (not w or c != w[-1]) and (nxt, c) not in seen:
+                    seen.add((nxt, c))
+                    queue.append((w + (c,), nxt))
+        return None
 
     def images_of(self, c: int) -> tuple[int, ...]:
         got = self._images.get(c)

@@ -13,11 +13,11 @@ Automorphisms are *portraits*: the image of the base vertex together with a
 local color permutation at every vertex.  Local permutations are finitely
 described (an exception table plus a deterministic extension rule) and obey
 the legality cocycle: the permutations at the two endpoints of an edge agree
-on that edge's color, so the image edge has one well-defined color.  Beyond
-their finite description portraits behave like a finite-state machine along
-any ray, which is what makes exact end images and axis ends computable: a
-walk records a Markov token per vertex, and once the token repeats at the
-same phase of the (eventually periodic) input ray, the emitted image letters
+on that edge's color, so the image edge has one well-defined color.  Every
+portrait, products and inverses included, is a finite-state machine that
+reads a word's colors and emits its image's; this is what makes exact end
+images and axis ends computable: once a walk's state repeats at the same
+phase of the (eventually periodic) input ray, the emitted image letters
 provably cycle.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .perms import Perm, compose, identity, invert, transposition
+from .perms import Perm, identity, transposition
 
 
 class InsufficientRadius(RuntimeError):
@@ -389,67 +389,92 @@ _EXTENSIONS: dict[str, Callable[[Perm, Perm, int], Perm]] = {
 
 
 class Portrait:
-    """Base class: a lazily evaluated automorphism of the colored tree.
+    """An automorphism of the colored tree as a finite-state machine.
 
-    Subclasses provide ``_at(v)``, the image word, local permutation and
-    walk state at v in one evaluation (``image``, ``sigma`` and
-    ``walk_state`` read it), and a Markov walk-state protocol used for exact
-    end images:
+    ``step(state, c)`` returns ``(e, next)``: at a vertex in ``state`` the
+    edge of color c is mapped to an edge of color e, and ``next`` is the
+    state at the far end of that edge.  ``start`` is the state at the base
+    vertex.  So the image of a word w is ``base_image`` followed, as a path,
+    by the colors emitted along w, and the local permutation at w sends each
+    color c to the color emitted from w's state.  States are hashable and
+    finitely many, so a repeated state along an eventually periodic ray
+    certifies that the emitted colors cycle.
 
-    * ``walk_state(v)`` returns a hashable token or None.  A non-None token
-      promises that for any child w = v + (c,), both ``sigma(w)`` and
-      ``walk_state(w)`` are functions of (token, c), realized by
-      ``step_state``/``state_sigma``.
-    * ``step_state(token, c)`` evolves the token down one edge (None when
-      the promise cannot be kept from the token alone).
-    * ``state_sigma(token)`` recovers the local permutation at the token's
-      vertex.
-
-    Instances hold no mutable state; values may be shared between threads.
+    Products, inverses and powers are portraits built from their factors'
+    ``step``s.  Instances hold no mutable state; values may be shared
+    between threads.
     """
 
-    degree: int
-    base_image: TreeVertex
+    def __init__(self, degree: int, base_image: TreeVertex, start, step: Callable):
+        self.degree = degree
+        self.base_image = base_image
+        self.start = start
+        self.step = step
 
-    # -- interface ---------------------------------------------------------
-    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
-        raise NotImplementedError
+    def _walk(self, word: Sequence[int]) -> tuple[list[int], object]:
+        """The colors emitted along ``word`` and the state reached."""
+        step, state, letters = self.step, self.start, []
+        for c in word:
+            e, state = step(state, c)
+            letters.append(e)
+        return letters, state
 
     def sigma(self, v: TreeVertex) -> Perm:
-        return self._at(v)[1]
+        state = self._walk(v.word)[1]
+        return tuple(self.step(state, c)[0] for c in range(self.degree))
 
     def image(self, v: TreeVertex) -> TreeVertex:
-        return _vertex(self._at(v)[0])
-
-    def walk_state(self, v: TreeVertex):
-        return self._at(v)[2]
-
-    def step_state(self, state, c: int):
-        raise NotImplementedError
-
-    def state_sigma(self, state) -> Perm:
-        raise NotImplementedError
-
-    def step(self, ray: Sequence[int], k: int, pair: tuple) -> tuple:
-        """``(sigma, walk_state)`` at ``ray[:k+1]``, given that pair at
-        ``ray[:k]``; ``ray`` is a non-backtracking word (or list of colors)
-        longer than k, read but not kept.
-
-        The default evaluates the child vertex; a subclass whose pair at a
-        child is a function of the parent's pair may compute it natively.
-        """
-        _, sig, state = self._at(_vertex(tuple(ray[: k + 1])))
-        return sig, state
+        return _vertex(reduce_word(self.base_image.word, self._walk(v.word)[0]))
 
     # -- algebra -----------------------------------------------------------
     def compose(self, other: "Portrait") -> "Portrait":
-        return ComposedPortrait(self, other)
+        """self o other (apply other first).
+
+        The path other(w) leaves other's base image u rootward along u, then
+        never turns back.  While it retraces u to u[:i], self is read off
+        its state at u[:i]; from there on self steps along the path.
+        """
+        if self.degree != other.degree:
+            raise ValueError("composed portraits must share a degree")
+        g_step, h_step = self.step, other.step
+        u = other.base_image.word
+        letters, states = [], [self.start]
+        for c in u:
+            e, s = g_step(states[-1], c)
+            letters.append(e)
+            states.append(s)
+
+        def step(state, c):
+            hs, i, gs = state
+            e, hs = h_step(hs, c)
+            if gs is None:
+                if i and u[i - 1] == e:
+                    return g_step(states[i], e)[0], (hs, i - 1, None)
+                gs = states[i]
+            e, gs = g_step(gs, e)
+            return e, (hs, None, gs)
+
+        base = _vertex(reduce_word(self.base_image.word, letters))
+        return Portrait(self.degree, base, (other.start, len(u), None), step)
 
     def __mul__(self, other: "Portrait") -> "Portrait":
         return self.compose(other)
 
     def inverse(self) -> "Portrait":
-        return InversePortrait(self)
+        """The base-fixing machine with every local permutation inverted,
+        stepping on the preimage color, after the transport that undoes
+        the base image."""
+        degree, g_step = self.degree, self.step
+
+        def step(state, c):
+            for x in range(degree):
+                e, nxt = g_step(state, x)
+                if e == c:
+                    return x, nxt
+
+        fixing = Portrait(degree, ROOT, self.start, step)
+        undo = TablePortrait(_vertex(self.base_image.word[::-1]), {}, degree, EXTEND_SPARSE)
+        return fixing.compose(undo)
 
     def power(self, n: int) -> "Portrait":
         if n < 1:
@@ -466,12 +491,11 @@ class Portrait:
     def image_of_end(self, end: TreeEnd, _abort_if_not: TreeEnd | None = None):
         """Exact image of an eventually periodic end, in normal form.
 
-        Walks the ray to ``end`` one ``step`` at a time, pushing each vertex
-        through the portrait.  The image path is a geodesic ray, so after an
-        initial rootward dip it extends by one letter per step; when the
-        walk's Markov token repeats at the same phase of the period (with the
-        token chain verified step by step), the emitted letters provably
-        cycle and the image end can be read off.
+        Walks the ray to ``end`` one ``step`` at a time.  The image path is
+        a geodesic ray: after an initial rootward dip it extends by one
+        letter per step.  Once it extends, a repeat of (phase of the period,
+        state, last image letter) repeats every later step, so the letters
+        emitted between the two visits are the image end's period.
 
         With ``_abort_if_not`` set, returns None as soon as the image is
         certain to differ from the given end.
@@ -480,51 +504,33 @@ class Portrait:
         per_len = len(end.period)
         u = list(self.base_image.word)
         cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
+        step, state = self.step, self.start
         ray: Word = ()
         target: Word = ()
         # seen maps a key to the image length when it was recorded; every
         # dip clears seen, so a recorded image is a prefix of the current one
         seen: dict = {}
-        predicted = None
-        extended_once = False
-        pair = (self.sigma(ROOT), self.walk_state(ROOT))
         for k in range(cap):
             if k == len(ray):
                 ray = end.word_prefix(2 * k + 64)
-            c = ray[k]
-            sig, state = pair
-            e = sig[c]
+            if k >= pre_len:
+                key = ((k - pre_len) % per_len, state, u[-1] if u else -1)
+                hit = seen.get(key)
+                if hit is not None:
+                    return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
+                seen[key] = len(u)
+            e, state = step(state, ray[k])
             if u and u[-1] == e:
                 # image path still dipping toward the root
                 u.pop()
                 seen.clear()
-                predicted = None
             else:
                 u.append(e)
-                extended_once = True
                 if _abort_if_not is not None:
                     if len(u) > len(target):
                         target = _abort_if_not.word_prefix(2 * len(u) + 64)
                     if target[len(u) - 1] != e:
                         return None
-            if state is None or k < pre_len or not extended_once:
-                seen.clear()
-                predicted = None
-            else:
-                if predicted is not None and predicted != state:
-                    seen.clear()
-                phase = (k - pre_len) % per_len
-                key = (phase, state, u[-1] if u else -1)
-                hit = seen.get(key)
-                if hit is not None:
-                    return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
-                seen[key] = len(u)
-                predicted = self.step_state(state, c)
-                if predicted is None:
-                    # the token chain broke: evolution from here is not a
-                    # function of the token, so earlier records prove nothing
-                    seen.clear()
-            pair = self.step(ray, k, pair)
         raise RuntimeError(
             "end image did not stabilize; the portrait is probably not an automorphism"
         )
@@ -543,6 +549,9 @@ class TablePortrait(Portrait):
       the transposition swapping the incoming color with its forced image;
     * ``constant``: copy the parent's permutation (always cocycle-legal;
       keeps all local permutations inside any group containing the table's).
+
+    A state is (w, sigma at w), with the word w kept only while it is
+    shorter than the table's depth, so that its children may be table keys.
     """
 
     def __init__(
@@ -557,8 +566,6 @@ class TablePortrait(Portrait):
             raise ValueError("thickness requires degree q+1 >= 3")
         if extension not in (EXTEND_SPARSE, EXTEND_CONSTANT):
             raise ValueError(f'extension must be "sparse" or "constant", not {extension!r}')
-        self.degree = degree
-        self.base_image = base_image
         self.extension = extension
         self._extend = _EXTENSIONS[extension]
         tbl: dict[Word, Perm] = {}
@@ -575,9 +582,10 @@ class TablePortrait(Portrait):
         self._table = tbl
         self._table_depth = max((len(w) for w in tbl), default=-1)
         self._identity = identity(degree)
-        self._root_sigma = tbl.get((), self._identity)
         if any(c >= degree for c in base_image.word):
             raise ValueError("base image uses colors outside the degree")
+        start = (() if self._table_depth > 0 else None, tbl.get((), self._identity))
+        super().__init__(degree, base_image, start, self._step)
         if strict:
             self._check_table_cocycle()
 
@@ -590,127 +598,19 @@ class TablePortrait(Portrait):
             if self._table[w][c] != sp[c]:
                 raise ValueError(f"legality cocycle violated at table vertex {w}")
 
-    def _child(self, w: Sequence[int], j: int, sig: Perm) -> Perm:
-        """sigma at ``w[:j+1]``, given ``sig``, sigma at ``w[:j]``: the table
-        entry while one may exist, the extension rule past the table."""
-        if j < self._table_depth:
-            got = self._table.get(tuple(w[: j + 1]))
-            if got is not None:
-                return got
-        return self._extend(self._identity, sig, w[j])
-
-    def sigma(self, v: TreeVertex) -> Perm:
-        w = v.word
-        sig = self._root_sigma
-        for j in range(len(w)):
-            sig = self._child(w, j, sig)
-        return sig
-
-    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
-        w = v.word
-        sig, letters = self._root_sigma, []
-        for j, c in enumerate(w):
-            letters.append(sig[c])
-            sig = self._child(w, j, sig)
-        state = None if len(w) < self._table_depth else sig
-        return reduce_word(self.base_image.word, letters), sig, state
-
-    def walk_state(self, v: TreeVertex):
-        if len(v.word) < self._table_depth:
-            return None
-        return self.sigma(v)
-
-    def step(self, ray: Sequence[int], k: int, pair: tuple) -> tuple:
-        sig = self._child(ray, k, pair[0])
-        return sig, (None if k + 1 < self._table_depth else sig)
-
-    def step_state(self, state, c: int):
-        return self._extend(self._identity, state, c)
-
-    def state_sigma(self, state) -> Perm:
-        return state
-
-
-class ComposedPortrait(Portrait):
-    """outer o inner (apply inner first)."""
-
-    def __init__(self, outer: Portrait, inner: Portrait):
-        if outer.degree != inner.degree:
-            raise ValueError("composed portraits must share a degree")
-        self.degree = outer.degree
-        self.outer = outer
-        self.inner = inner
-        self.base_image = outer.image(inner.base_image)
-
-    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
-        hw, sigma_h, sh = self.inner._at(v)
-        gw, sigma_g, sg = self.outer._at(_vertex(hw))
-        state = None if sh is None or sg is None else ("C", sh, sg, hw[-1] if hw else -1)
-        return gw, compose(sigma_g, sigma_h), state
-
-    def step_state(self, state, c: int):
-        _, sh, sg, last = state
-        e = self.inner.state_sigma(sh)[c]
-        if e == last:
-            return None
-        sh2 = self.inner.step_state(sh, c)
-        sg2 = self.outer.step_state(sg, e)
-        if sh2 is None or sg2 is None:
-            return None
-        return ("C", sh2, sg2, e)
-
-    def state_sigma(self, state) -> Perm:
-        _, sh, sg, _ = state
-        return compose(self.outer.state_sigma(sg), self.inner.state_sigma(sh))
-
-
-class InversePortrait(Portrait):
-    def __init__(self, inner: Portrait):
-        self.degree = inner.degree
-        self.inner = inner
-        self.base_image = self.image(ROOT)
-
-    def _at(self, v: TreeVertex) -> tuple[Word, Perm, object]:
-        """At the preimage y of v under the inner portrait, found by a
-        guided walk.
-
-        A cursor y with inner(y) tracking the path from the base vertex to v
-        moves to the unique neighbor whose image moves one edge along that
-        path.  The inner (sigma, walk_state) pairs along y sit on stacks,
-        popped on a rootward move and stepped on an outward one.
-        """
-        inner = self.inner
-        y: list[int] = []
-        sigmas, states = [inner.sigma(ROOT)], [inner.walk_state(ROOT)]
-        # inner(y) walks from the inner base image down to the base vertex,
-        # then out along the word of v
-        for e in inner.base_image.word[::-1] + v.word:
-            c = sigmas[-1].index(e)
-            if y and y[-1] == c:
-                y.pop()
-                sigmas.pop()
-                states.pop()
-            else:
-                y.append(c)
-                sig, state = inner.step(y, len(y) - 1, (sigmas[-1], states[-1]))
-                sigmas.append(sig)
-                states.append(state)
-        s = states[-1]
-        state = None if s is None else ("I", s, y[-1] if y else -1)
-        return tuple(y), invert(sigmas[-1]), state
-
-    def step_state(self, state, c: int):
-        _, s, last = state
-        e = invert(self.inner.state_sigma(s))[c]
-        if e == last:
-            return None
-        s2 = self.inner.step_state(s, e)
-        if s2 is None:
-            return None
-        return ("I", s2, e)
-
-    def state_sigma(self, state) -> Perm:
-        return invert(self.inner.state_sigma(state[1]))
+    def _step(self, state: tuple, c: int) -> tuple:
+        """The table entry at the child while one may exist, the extension
+        rule past the table."""
+        w, sig = state
+        nxt = None
+        if w is not None:
+            w += (c,)
+            nxt = self._table.get(w)
+            if len(w) == self._table_depth:
+                w = None
+        if nxt is None:
+            nxt = self._extend(self._identity, sig, c)
+        return sig[c], (w, nxt)
 
 
 def parallel_transport(word: Sequence[int], degree: int) -> TablePortrait:
@@ -777,7 +677,12 @@ def _descend_to_min_displacement(g: Portrait, cap: int) -> TreeVertex:
 
 
 def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
-    """lim g^n(start) for hyperbolic g with start on (or near) the axis."""
+    """lim g^n(start) for hyperbolic g with start on (or near) the axis.
+
+    Once g(u) extends u by a chunk, g(u + chunk) extends u + chunk by the
+    colors g emits along the chunk from its state at u.  So (state, chunk)
+    fixes every later chunk, and its first repeat closes the period.
+    """
     v = start
     for _ in range(64):
         w = g.image(v)
@@ -786,36 +691,24 @@ def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
         v = w
     else:
         raise RuntimeError("axis iteration never started extending")
+    u = list(v.word)
+    chunk = w.word[len(u):]
+    state = g._walk(u)[1]
     seen: dict = {}
-    predicted = None
-    u = v
     for _ in range(_AXIS_ITER_CAP):
-        u2 = g.image(u)
-        uw, u2w = u.word, u2.word
-        if not (len(u2w) > len(uw) and u2w[: len(uw)] == uw):
+        key = (state, chunk)
+        hit = seen.get(key)
+        if hit is not None:
+            return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
+        seen[key] = len(u)
+        letters = []
+        for c in chunk:
+            e, state = g.step(state, c)
+            letters.append(e)
+        if letters[0] == chunk[-1]:
             raise RuntimeError("axis iteration stopped extending")
-        chunk = u2w[len(uw):]
-        state = g.walk_state(u)
-        if state is None:
-            seen.clear()
-            predicted = None
-        else:
-            if predicted is not None and predicted != state:
-                seen.clear()
-            key = (state, chunk)
-            snapshot = seen.get(key)
-            if snapshot is not None:
-                return TreeEnd(snapshot, uw[len(snapshot):])
-            seen[key] = uw
-            s = state
-            for c in chunk:
-                s = g.step_state(s, c)
-                if s is None:
-                    break
-            predicted = s
-            if s is None:
-                seen.clear()
-        u = u2
+        u += chunk
+        chunk = tuple(letters)
     raise RuntimeError("axis end did not stabilize")
 
 
@@ -993,15 +886,15 @@ def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
 # dynamics at infinity
 
 
-def iterate_on_end(a: Portrait, xi: TreeEnd, n: int) -> list[TreeEnd]:
-    """[a^m(xi) for m = 0..n] for hyperbolic a; exact, in normal form.
+def iterate_on_end(a: Portrait, cls: IsometryClass, xi: TreeEnd, n: int) -> list[TreeEnd]:
+    """[a^m(xi) for m = 0..n] for hyperbolic a, whose classification is
+    ``cls``; exact, in normal form.
 
     The repelling axis end is rejected (it is fixed, and every other end
     converges to the attracting one).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    cls = classify_isometry(a, default_search_radius(a))
     if not cls.is_hyperbolic:
         raise NotHyperbolic("iteration at infinity needs a hyperbolic automorphism")
     if xi == cls.axis.end_minus:
@@ -1013,11 +906,10 @@ def iterate_on_end(a: Portrait, xi: TreeEnd, n: int) -> list[TreeEnd]:
 
 
 def segment_through_apartment(
-    a: Portrait, x0: TreeVertex, x: TreeVertex, n: int
+    a: Portrait, cls: IsometryClass, x0: TreeVertex, x: TreeVertex, n: int
 ) -> list[int]:
     """For m = 0..n, the length of the geodesic [x0, a^m(x)] intersected
-    with the axis of a."""
-    cls = classify_isometry(a, default_search_radius(a))
+    with the axis of a, whose classification is ``cls``."""
     if not cls.is_hyperbolic:
         raise NotHyperbolic("the automorphism must be hyperbolic")
     c0, _ = cls.axis.project(x0)

@@ -19,8 +19,6 @@ from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
-    ComposedPortrait,
-    InversePortrait,
     NotHyperbolic,
     Portrait,
     TablePortrait,
@@ -30,7 +28,6 @@ from building_forge.tree import (
     ball_words,
     classify_isometry,
     default_search_radius,
-    parallel_transport,
     reduce_word,
     sphere_words,
 )
@@ -221,9 +218,44 @@ def triple_loop_tensor(table):
     return tensor, by_pair
 
 
-def random_k_portrait(
+class Recipe:
+    """A portrait construction, built on either side of an oracle check:
+    ``recipe(make)`` builds each table portrait in it with ``make``, which
+    is ``TablePortrait`` or ``MemoTablePortrait``, and composes, inverts and
+    powers them with that side's algebra."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __call__(self, make):
+        return self.build(make)
+
+    def __mul__(self, other: "Recipe") -> "Recipe":
+        return Recipe(lambda make: self(make) * other(make))
+
+    def inverse(self) -> "Recipe":
+        return Recipe(lambda make: self(make).inverse())
+
+    def power(self, n: int) -> "Recipe":
+        return Recipe(lambda make: self(make).power(n))
+
+    def both(self) -> tuple:
+        """(the library's portrait, the oracle's)."""
+        return self(TablePortrait), self(MemoTablePortrait)
+
+
+def table_recipe(base_image: TreeVertex, table: dict, degree: int, extension: str) -> Recipe:
+    return Recipe(lambda make: make(base_image, table, degree, extension))
+
+
+def transport_recipe(word, degree: int = 3) -> Recipe:
+    """``parallel_transport(word, degree)`` as a recipe."""
+    return table_recipe(TreeVertex(tuple(word)), {}, degree, EXTEND_SPARSE)
+
+
+def random_k_recipe(
     rng: Random, degree: int, depth: int = 3, extension: str = EXTEND_SPARSE
-) -> TablePortrait:
+) -> Recipe:
     """A random base-vertex stabilizer, legal by construction: every table
     entry agrees with its parent's on the color of the edge between them,
     and either extension rule keeps that beyond the table."""
@@ -245,11 +277,17 @@ def random_k_portrait(
                 fill(child, sigma)
 
     fill((), table[()])
-    return TablePortrait(ROOT, table, degree, extension)
+    return table_recipe(ROOT, table, degree, extension)
 
 
-def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
-    """(portrait, translation length); mixes plain, conjugated, shifted."""
+def random_k_portrait(
+    rng: Random, degree: int, depth: int = 3, extension: str = EXTEND_SPARSE
+) -> TablePortrait:
+    return random_k_recipe(rng, degree, depth, extension)(TablePortrait)
+
+
+def random_hyperbolic_recipe(rng: Random, degree: int = 3) -> tuple[Recipe, int]:
+    """(recipe, translation length); mixes plain, conjugated, shifted."""
     n = rng.randint(2, 4)
     word = [rng.randrange(degree)]
     while len(word) < n:
@@ -258,15 +296,20 @@ def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
             word.append(c)
     if word[0] == word[-1]:
         word.append(next(c for c in range(degree) if c not in (word[-1], word[0])))
-    t = parallel_transport(tuple(word), degree)
+    t = transport_recipe(word, degree)
     style = rng.randrange(3)
     if style == 0:
         return t, len(word)
     if style == 1:
-        k = random_k_portrait(rng, degree, depth=2)
+        k = random_k_recipe(rng, degree, depth=2)
         return k * t * k.inverse(), len(word)
-    h = parallel_transport(tuple(word[:1]) if word[0] != word[-1] else (word[-1],), degree)
+    h = transport_recipe(word[:1] if word[0] != word[-1] else (word[-1],), degree)
     return h * t * h.inverse(), len(word)
+
+
+def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
+    recipe, length = random_hyperbolic_recipe(rng, degree)
+    return recipe(TablePortrait), length
 
 
 def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:
@@ -294,11 +337,22 @@ def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, TreeVertex]:
     return best
 
 
-def prefix_memo_image_of_end(g: Portrait, end: TreeEnd, abort_if_not: TreeEnd | None = None):
+def first_outside_by_ball(F: LocalGroup, g: Portrait, radius: int) -> TreeVertex | None:
+    """The shortlex-first vertex of the ball of ``radius`` whose local
+    permutation under ``g`` is not in F, by scanning the whole ball."""
+    for w in ball_words(F.degree, radius):
+        v = TreeVertex(w)
+        if g.sigma(v) not in F:
+            return v
+    return None
+
+
+def prefix_memo_image_of_end(g, end: TreeEnd, abort_if_not: TreeEnd | None = None):
     """The end-image walk that evaluates every ray vertex from scratch: a
     fresh vertex per step, ``sigma`` and ``walk_state`` looked up by the
     whole word, letters read one call at a time.  Quadratic in the walk's
-    length, and kept as the oracle for ``Portrait.image_of_end``."""
+    length, and kept as the oracle for ``Portrait.image_of_end``; ``g`` is
+    an oracle portrait (a ``MemoPortrait``)."""
     pre_len = len(end.prefix)
     per_len = len(end.period)
     v = ROOT
@@ -345,27 +399,52 @@ def prefix_memo_image_of_end(g: Portrait, end: TreeEnd, abort_if_not: TreeEnd | 
     raise RuntimeError("end image did not stabilize")
 
 
-class _FromParts:
-    """``_at`` read off separate ``image``, ``sigma`` and ``walk_state``
-    evaluations, and ``step`` by evaluating the child vertex."""
+class MemoPortrait:
+    """An oracle portrait: evaluated vertex by vertex, independently of
+    ``Portrait``'s state machines, with its own algebra and the Markov
+    walk-state protocol that ``prefix_memo_image_of_end`` reads:
 
-    def _at(self, v):
-        return self.image(v).word, self.sigma(v), self.walk_state(v)
+    * ``walk_state(v)`` returns a hashable token or None.  A non-None token
+      promises that for any child w = v + (c,), both ``sigma(w)`` and
+      ``walk_state(w)`` are functions of (token, c), realized by
+      ``step_state``/``state_sigma``.
+    * ``step_state(token, c)`` evolves the token down one edge (None when
+      the promise cannot be kept from the token alone).
+    * ``state_sigma(token)`` recovers the local permutation at the token's
+      vertex.
+    """
 
-    step = Portrait.step
+    def compose(self, other: "MemoPortrait") -> "MemoPortrait":
+        return MemoComposedPortrait(self, other)
+
+    def __mul__(self, other: "MemoPortrait") -> "MemoPortrait":
+        return self.compose(other)
+
+    def inverse(self) -> "MemoPortrait":
+        return MemoInversePortrait(self)
+
+    def power(self, n: int) -> "MemoPortrait":
+        out = self
+        for _ in range(n - 1):
+            out = out.compose(self)
+        return out
 
 
-class MemoTablePortrait(_FromParts, TablePortrait):
+class MemoTablePortrait(MemoPortrait):
     """A table portrait evaluated by per-prefix memos: ``sigma`` extends
     from the deepest memoized or tabled prefix, ``image`` from the deepest
     memoized image, and every prefix met is stored.  The extension rules are
     restated here.  Quadratic in memory along a long word; kept as the
-    oracle for the forward passes of ``TablePortrait``."""
+    oracle for ``TablePortrait``, whose arguments it takes and trusts."""
 
-    def __init__(self, g: TablePortrait):
-        super().__init__(g.base_image, g._table, g.degree, g.extension, strict=False)
+    def __init__(self, base_image, table=None, degree=3, extension=EXTEND_SPARSE, strict=True):
+        self.degree = degree
+        self.base_image = base_image
+        self.extension = extension
+        self._table = {tuple(w): tuple(p) for w, p in (table or {}).items()}
+        self._table_depth = max((len(w) for w in self._table), default=-1)
         self._sig_memo: dict[Word, tuple] = {}
-        self._img_memo: dict[Word, Word] = {(): g.base_image.word}
+        self._img_memo: dict[Word, Word] = {(): base_image.word}
 
     def _rule(self, sigma_parent, c):
         if self.extension == EXTEND_CONSTANT:
@@ -414,10 +493,28 @@ class MemoTablePortrait(_FromParts, TablePortrait):
             memo[w[: j + 1]] = z
         return TreeVertex(z)
 
+    def walk_state(self, v):
+        # from the table's depth on, no child is a table key
+        if len(v.word) < self._table_depth:
+            return None
+        return self.sigma(v)
 
-class MemoComposedPortrait(_FromParts, ComposedPortrait):
-    """A composition evaluated part by part: the inner image, then the outer
-    portrait there.  The oracle for ``ComposedPortrait``."""
+    def step_state(self, state, c: int):
+        return self._rule(state, c)
+
+    def state_sigma(self, state):
+        return state
+
+
+class MemoComposedPortrait(MemoPortrait):
+    """outer o inner (apply inner first), evaluated part by part: the inner
+    image, then the outer portrait there."""
+
+    def __init__(self, outer: MemoPortrait, inner: MemoPortrait):
+        self.degree = outer.degree
+        self.outer = outer
+        self.inner = inner
+        self.base_image = outer.image(inner.base_image)
 
     def sigma(self, v):
         return compose(self.outer.sigma(self.inner.image(v)), self.inner.sigma(v))
@@ -435,21 +532,41 @@ class MemoComposedPortrait(_FromParts, ComposedPortrait):
             return None
         return ("C", sh, sg, hv.word[-1] if hv.word else -1)
 
+    def step_state(self, state, c: int):
+        _, sh, sg, last = state
+        e = self.inner.state_sigma(sh)[c]
+        if e == last:
+            return None
+        sh2 = self.inner.step_state(sh, c)
+        sg2 = self.outer.step_state(sg, e)
+        if sh2 is None or sg2 is None:
+            return None
+        return ("C", sh2, sg2, e)
 
-class MemoInversePortrait(_FromParts, InversePortrait):
+    def state_sigma(self, state):
+        _, sh, sg, _ = state
+        return compose(self.outer.state_sigma(sg), self.inner.state_sigma(sh))
+
+
+class MemoInversePortrait(MemoPortrait):
     """The inverse by a guided walk that evaluates ``inner.sigma`` from the
-    root at every cursor and memoizes each preimage.  The oracle for
-    ``InversePortrait``."""
+    root at every cursor and memoizes each preimage: the cursor y, with
+    inner(y) tracking the path to v, moves to the unique neighbor whose
+    image moves one edge along that path."""
 
-    def __init__(self, inner: Portrait):
+    def __init__(self, inner: MemoPortrait):
+        self.degree = inner.degree
+        self.inner = inner
         self._img_memo: dict[Word, Word] = {}
-        super().__init__(inner)
+        self.base_image = self.image(ROOT)
 
     def image(self, v):
         got = self._img_memo.get(v.word)
         if got is not None:
             return TreeVertex(got)
         y = ROOT
+        # inner(y) walks from the inner base image down to the base vertex,
+        # then out along the word of v
         for e in self.inner.base_image.word[::-1] + v.word:
             c = invert(self.inner.sigma(y))[e]
             y = y.neighbor(c)
@@ -466,15 +583,15 @@ class MemoInversePortrait(_FromParts, InversePortrait):
             return None
         return ("I", s, z.word[-1] if z.word else -1)
 
+    def step_state(self, state, c: int):
+        _, s, last = state
+        e = invert(self.inner.state_sigma(s))[c]
+        if e == last:
+            return None
+        s2 = self.inner.step_state(s, e)
+        if s2 is None:
+            return None
+        return ("I", s2, e)
 
-def memo_oracle(g: Portrait) -> Portrait:
-    """``g`` rebuilt from the oracle classes: each table portrait a
-    ``MemoTablePortrait``, each composition a ``MemoComposedPortrait`` and
-    each inverse a ``MemoInversePortrait``."""
-    if isinstance(g, TablePortrait):
-        return MemoTablePortrait(g)
-    if isinstance(g, ComposedPortrait):
-        return MemoComposedPortrait(memo_oracle(g.outer), memo_oracle(g.inner))
-    if isinstance(g, InversePortrait):
-        return MemoInversePortrait(memo_oracle(g.inner))
-    raise TypeError(f"no memo oracle for {type(g).__name__}")
+    def state_sigma(self, state):
+        return invert(self.inner.state_sigma(state[1]))

@@ -231,8 +231,9 @@ def test_acceptance_06_long_subsegments_in_the_axis():
     test_set = [TreeVertex(w) for w in rng.sample(pool, 20)]
     max_depth = max(len(v.word) for v in test_set)
     bound = T + -(-T // ell) + max_depth
+    cls = classify_isometry(a, default_search_radius(a))
     overlaps = {
-        x: [segment_through_apartment(a, ROOT, x, n)[n] for n in range(bound + 6)]
+        x: [segment_through_apartment(a, cls, ROOT, x, n)[n] for n in range(bound + 6)]
         for x in test_set
     }
     n0 = None

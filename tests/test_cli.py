@@ -204,6 +204,37 @@ class TestDynamics:
         assert code == 0
         assert json.loads(out)["translation_length"] == 1
 
+    def test_automorphism_outside_the_group_refused(self, groups, capsys, tmp_path):
+        # sigma at (0,) is the transposition (1 2), which is not in C3
+        spec = tmp_path / "outside.json"
+        spec.write_text(
+            json.dumps({"base_image": "0 1", "exceptions": {"0": "0 2 1"}, "extension": "sparse"})
+        )
+        code, out, err = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", str(spec), "--end", ":0,2", "--nmax", "3"],
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: automorphism {str(spec)!r} is not in U(F): its local permutation "
+            "at the vertex (0,) is not in the group\n"
+        )
+
+    def test_table_document_inside_the_group(self, groups, capsys, tmp_path):
+        spec = tmp_path / "inside.json"
+        spec.write_text(
+            json.dumps({"base_image": "0 2", "exceptions": {"": "1 2 0"}, "extension": "constant"})
+        )
+        code, out, _ = run(
+            capsys,
+            ["dynamics", "--group", groups["c3"], "--auto", str(spec), "--end", ":0,2",
+             "--nmax", "4", "--format", "csv"],
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "n,agreement_depth,axis_overlap", "1,4,2", "2,6,4", "3,8,6", "4,10,8"
+        ]
+
     @pytest.mark.parametrize("end", [":0,5", "9:0,1", "-1:0,1", ":0,-2"])
     def test_end_color_outside_the_degree_rejected(self, groups, capsys, end):
         # --end=SPEC, since argparse reads a separate "-1:0,1" as a flag

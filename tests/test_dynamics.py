@@ -146,24 +146,29 @@ class TestPointFixingPart:
             assert in_Gc0(g * h, C_PLUS, 10)
 
 
+def classified(g):
+    return classify_isometry(g, default_search_radius(g))
+
+
 class TestIterateOnEnd:
     def test_attracting_end_fixed(self):
         g = parallel_transport((0, 1), 3)
         for n in (1, 3):
-            assert iterate_on_end(g, TreeEnd((), (0, 1)), n)[n] == TreeEnd((), (0, 1))
+            assert iterate_on_end(g, classified(g), TreeEnd((), (0, 1)), n)[n] == TreeEnd((), (0, 1))
 
     def test_repelling_end_rejected(self):
         g = parallel_transport((0, 1), 3)
         with pytest.raises(RepellingFixedEnd):
-            iterate_on_end(g, TreeEnd((), (1, 0)), 1)
+            iterate_on_end(g, classified(g), TreeEnd((), (1, 0)), 1)
 
     def test_sequence_matches_repeated_images(self):
         rng = Random(61)
         for _ in range(6):
             g, _ = random_hyperbolic(rng, 3)
-            minus = classify_isometry(g, default_search_radius(g)).axis.end_minus
+            cls = classified(g)
+            minus = cls.axis.end_minus
             xi = TreeEnd((), (0, 2)) if minus != TreeEnd((), (0, 2)) else TreeEnd((2,), (0, 1))
-            got = iterate_on_end(g, xi, 8)
+            got = iterate_on_end(g, cls, xi, 8)
             current = xi
             for m in range(9):
                 assert got[m] == current
@@ -207,20 +212,22 @@ class TestSegmentThroughApartment:
         x0 = ROOT
         x = TreeVertex((0, 1))  # on the axis at coordinate +2
         for n in range(1, 5):
-            assert segment_through_apartment(g, x0, x, n)[n] == 2 * n + 2
+            assert segment_through_apartment(g, classified(g), x0, x, n)[n] == 2 * n + 2
 
     def test_adjacent_off_axis(self):
         g = parallel_transport((0, 1), 3)
-        assert segment_through_apartment(g, TreeVertex((2,)), TreeVertex((2, 0)), 0)[0] == 0
+        overlaps = segment_through_apartment(g, classified(g), TreeVertex((2,)), TreeVertex((2, 0)), 0)
+        assert overlaps[0] == 0
 
     def test_monotone_growth(self):
         rng = Random(53)
         g = parallel_transport((0, 1), 3)
+        cls = classified(g)
         for _ in range(5):
             words = [w for w in ball_words(3, 4)]
             x0 = TreeVertex(rng.choice(words))
             x = TreeVertex(rng.choice(words))
-            vals = [segment_through_apartment(g, x0, x, n)[n] for n in range(13)]
+            vals = [segment_through_apartment(g, cls, x0, x, n)[n] for n in range(13)]
             tail = vals[4:]
             assert all(a <= b for a, b in zip(tail, tail[1:]))
 
@@ -232,7 +239,7 @@ class TestSegmentThroughApartment:
             for _ in range(2):
                 x0 = TreeVertex(rng.choice(words))
                 x = TreeVertex(rng.choice(words))
-                got = segment_through_apartment(g, x0, x, 12)
+                got = segment_through_apartment(g, classified(g), x0, x, 12)
                 assert got == [axis_overlap(g, x0, x, m) for m in range(13)]
 
 

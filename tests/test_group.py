@@ -7,6 +7,7 @@ from random import Random
 from helpers import (
     check_legal,
     dfs_k_orbit,
+    first_outside_by_ball,
     k_orbits_on_sphere,
     make_c3,
     make_s3,
@@ -14,6 +15,7 @@ from helpers import (
     make_trivial,
     pair_orbit_count_bruteforce,
     random_hyperbolic,
+    random_k_portrait,
     subgroups_of_symmetric,
 )
 from building_forge import group
@@ -31,6 +33,8 @@ from building_forge.group import (
 )
 from building_forge.perms import compose, invert, transposition
 from building_forge.tree import (
+    EXTEND_CONSTANT,
+    EXTEND_SPARSE,
     ROOT,
     BudgetExhausted,
     NotHyperbolic,
@@ -106,6 +110,63 @@ class TestCheckLegal:
             ROOT, {(): transposition(3, 0, 1), (0,): (0, 1, 2)}, 3, strict=False
         )
         assert not check_legal(g, S3, 2)
+
+
+def random_table_in(F: LocalGroup, rng: Random, depth: int) -> dict:
+    """A legal exception table of depth ``depth`` with entries drawn from F."""
+    table = {(): rng.choice(F.elements)}
+
+    def fill(w, parent):
+        if len(w) >= depth:
+            return
+        for c in range(F.degree):
+            if w and c == w[-1]:
+                continue
+            if rng.random() < 0.6:
+                sigma = rng.choice([p for p in F.elements if p[c] == parent[c]])
+                table[w + (c,)] = sigma
+                fill(w + (c,), sigma)
+
+    fill((), table[()])
+    return table
+
+
+class TestFirstOutside:
+    """``LocalGroup.first_outside`` against a scan of the ball, three levels
+    past the tables' depth."""
+
+    def test_against_the_ball_scan(self):
+        rng = Random(67)
+        found = 0
+        for F in S3_SUBGROUPS + S4_SUBGROUPS:
+            for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
+                family = [random_k_portrait(rng, F.degree, 2, extension)]
+                for _ in range(2):
+                    table = random_table_in(F, rng, 2)
+                    family.append(TablePortrait(ROOT, table, F.degree, extension))
+                for g in family:
+                    got = F.first_outside(g)
+                    assert got == first_outside_by_ball(F, g, 5), (F.elements, g._table)
+                    found += got is not None
+        assert 0 < found < 36 * 2 * 3
+
+    def test_products_and_inverses(self):
+        rng = Random(71)
+        for F in (C3, S3, TRIV):
+            for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
+                k = TablePortrait(ROOT, random_table_in(F, rng, 2), 3, extension)
+                t = parallel_transport((0, 1, 2), 3)
+                for g in (k * t, t * k, k.inverse(), (k * t).inverse()):
+                    assert F.first_outside(g) == first_outside_by_ball(F, g, 5)
+
+    def test_transports_lie_in_every_group(self):
+        for F in (C3, S3, TRIV):
+            assert F.first_outside(parallel_transport((0, 1, 2, 0), 3)) is None
+
+    def test_names_the_vertex(self):
+        g = TablePortrait(TreeVertex((0, 1)), {(0,): (0, 2, 1)}, 3, EXTEND_SPARSE)
+        assert C3.first_outside(g) == TreeVertex((0,))
+        assert S3.first_outside(g) is None
 
 
 def oracle_sphere2_orbits(F: LocalGroup):
@@ -302,7 +363,7 @@ class TestFixedEnds:
         assert fixed == {TreeEnd((), (0, 1)), TreeEnd((), (1, 0))}
 
     def test_default_families_of_small_groups_fix_nothing(self):
-        for F in subgroups_of_symmetric(3) + subgroups_of_symmetric(4):
+        for F in S3_SUBGROUPS + S4_SUBGROUPS:
             assert fixed_end_check(F) == set(), F
 
     def test_random_hyperbolic_fixes_exactly_its_axis_ends(self):

@@ -1,15 +1,18 @@
 """Portrait evaluation: navigation, composition, inverses, end images."""
 
+import sys
 import tracemalloc
 from random import Random
 
 import pytest
 
 from helpers import (
-    memo_oracle,
     prefix_memo_image_of_end,
     random_hyperbolic,
+    random_hyperbolic_recipe,
     random_k_portrait,
+    random_k_recipe,
+    transport_recipe,
 )
 from building_forge.group import enumerate_ends
 from building_forge.perms import transposition
@@ -27,6 +30,7 @@ from building_forge.tree import (
     identity_portrait,
     iterate_on_end,
     parallel_transport,
+    reduce_word,
     segment_through_apartment,
     transport_between,
 )
@@ -172,43 +176,81 @@ class TestEndImages:
         assert img == TreeEnd((), (1, 2))
 
 
-def walk_portraits(rng):
+def walk_recipes(rng):
     """Hyperbolic elements, sparse and constant depth-3 tables, and their
     compositions, inverses and powers."""
-    out = [random_hyperbolic(rng, 3)[0] for _ in range(4)]
+    out = [random_hyperbolic_recipe(rng, 3)[0] for _ in range(4)]
     for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
-        k = random_k_portrait(rng, 3, 3, extension)
-        t = parallel_transport((0, 1, 2), 3)
+        k = random_k_recipe(rng, 3, 3, extension)
+        t = transport_recipe((0, 1, 2))
         out += [k, k * t, t * k, k.inverse(), (k * t).inverse(), (k * t).power(2)]
-    out.append(random_hyperbolic(rng, 3)[0].power(3))
+    out.append(random_hyperbolic_recipe(rng, 3)[0].power(3))
     return out
+
+
+def python_calls(fn) -> int:
+    """The number of Python function calls made while running ``fn()``."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 class TestIncrementalWalk:
     def test_images_match_the_prefix_memo_walk(self):
         rng = Random(41)
         ends = enumerate_ends(3, 3, 3)
-        for g in walk_portraits(rng):
+        for recipe in walk_recipes(rng):
+            g, oracle = recipe.both()
             for end in ends:
-                assert g.image_of_end(end) == prefix_memo_image_of_end(g, end)
-                expected = prefix_memo_image_of_end(g, end, abort_if_not=end) == end
+                assert g.image_of_end(end) == prefix_memo_image_of_end(oracle, end)
+                expected = prefix_memo_image_of_end(oracle, end, abort_if_not=end) == end
                 assert g.fixes_end(end) == expected
 
     def test_step_matches_the_vertex_evaluation(self):
+        """Stepping along a ray yields, at every vertex, the local
+        permutation and image that the oracle evaluates there."""
         rng = Random(43)
-        for g in walk_portraits(rng):
+        for recipe in walk_recipes(rng):
+            g, oracle = recipe.both()
             for _ in range(6):
                 word = [rng.randrange(3)]
                 while len(word) < 12:
                     c = rng.randrange(3)
                     if c != word[-1]:
                         word.append(c)
-                ray = tuple(word)
-                pair = (g.sigma(ROOT), g.walk_state(ROOT))
-                for k in range(len(ray)):
-                    pair = g.step(ray, k, pair)
-                    v = TreeVertex(ray[: k + 1])
-                    assert pair == (g.sigma(v), g.walk_state(v))
+                state, letters = g.start, []
+                for k in range(len(word) + 1):
+                    v = TreeVertex(word[:k])
+                    sigma = tuple(g.step(state, c)[0] for c in range(3))
+                    assert sigma == oracle.sigma(v)
+                    assert reduce_word(g.base_image.word, letters) == oracle.image(v).word
+                    if k < len(word):
+                        e, state = g.step(state, word[k])
+                        letters.append(e)
+
+    @pytest.mark.parametrize("name", ["k t", "(k t)^-1", "t^3"])
+    def test_end_walks_through_products_and_inverses_are_linear(self, name):
+        """Doubling the prefix of the end at most doubles the Python calls
+        of one end image, plus slack: each step is O(1) calls."""
+        k = random_k_portrait(Random(53), 3, 3, EXTEND_SPARSE)
+        t = parallel_transport((0, 1, 2), 3)
+        g = {"k t": k * t, "(k t)^-1": (k * t).inverse(), "t^3": t.power(3)}[name]
+
+        def calls(n):
+            end = TreeEnd((0, 1) * (n // 2), (2, 0))
+            return python_calls(lambda: g.image_of_end(end))
+
+        assert calls(200) <= 2.5 * calls(100)
 
     def test_vertex_validations_do_not_grow_with_the_word(self, monkeypatch):
         def validations(k):
@@ -226,8 +268,8 @@ class TestIncrementalWalk:
 
             with monkeypatch.context() as m:
                 m.setattr(TreeVertex, "__init__", counting)
-                classify_isometry(a, default_search_radius(a))
-                iterate_on_end(a, TreeEnd((), (0, 2)), 3)
+                cls = classify_isometry(a, default_search_radius(a))
+                iterate_on_end(a, cls, TreeEnd((), (0, 2)), 3)
             return calls, letters
 
         assert validations(100) == validations(200)
@@ -238,21 +280,20 @@ class TestForwardPasses:
 
     def test_values_match_the_memoized_evaluation(self):
         rng = Random(47)
-        family = [random_hyperbolic(rng, 3)[0] for _ in range(6)]
+        family = [random_hyperbolic_recipe(rng, 3)[0] for _ in range(6)]
         for extension in (EXTEND_SPARSE, EXTEND_CONSTANT):
             for _ in range(2):
-                k = random_k_portrait(rng, 3, 3, extension)
-                t = parallel_transport((0, 1, 2), 3)
+                k = random_k_recipe(rng, 3, 3, extension)
+                t = transport_recipe((0, 1, 2))
                 family += [k, k * t, t * k, k.inverse(), (k * t).inverse(), k * t * k.inverse()]
-        family += [g.inverse() for g in family[:6]]
-        for g in family:
-            oracle = memo_oracle(g)
+        family += [recipe.inverse() for recipe in family[:6]]
+        for recipe in family:
+            g, oracle = recipe.both()
             assert g.base_image == oracle.base_image
             for w in ball_words(3, 5):
                 v = TreeVertex(w)
                 assert g.sigma(v) == oracle.sigma(v), (g, w)
                 assert g.image(v) == oracle.image(v), (g, w)
-                assert g.walk_state(v) == oracle.walk_state(v), (g, w)
 
     def test_peak_memory_grows_linearly_with_the_word(self):
         def peak(k):
@@ -260,9 +301,9 @@ class TestForwardPasses:
             tracemalloc.start()
             try:
                 a = parallel_transport((0, 1) * k, 3)
-                classify_isometry(a, default_search_radius(a))
-                iterate_on_end(a, TreeEnd((), (0, 2)), 3)
-                segment_through_apartment(a, ROOT, ROOT, 3)
+                cls = classify_isometry(a, default_search_radius(a))
+                iterate_on_end(a, cls, TreeEnd((), (0, 2)), 3)
+                segment_through_apartment(a, cls, ROOT, ROOT, 3)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
