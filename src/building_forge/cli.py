@@ -11,7 +11,6 @@ parser before any work), 3 budget/radius errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from itertools import chain, islice
@@ -59,10 +58,58 @@ def write_pieces(pieces) -> None:
         out.write("".join(batch))
 
 
+class Rows:
+    """A list of objects in a report, written one row at a time.
+
+    ``template`` lays out one object as ``json.dumps(..., sort_keys=True,
+    indent=2)`` does inside a top-level list (see ``row_template``); each
+    row holds its cells in key order.  A plain class: a NamedTuple would
+    cost every command a third of a millisecond at import.
+    """
+
+    __slots__ = ("template", "rows")
+
+    def __init__(self, template: str, rows: Iterable[tuple]):
+        self.template = template
+        self.rows = rows
+
+
+def row_template(**cells: str) -> str:
+    """The template of one object whose values are the %-placeholders
+    ``cells``; the placeholders take no escaping, so the cells must be
+    numbers or words of digits and spaces."""
+    body = ",\n".join(f'      "{key}": {cells[key]}' for key in sorted(cells))
+    return "    {\n" + body + "\n    }"
+
+
+def _rows_pieces(rows: Rows) -> Iterator[str]:
+    sep = "[\n"
+    for row in rows.rows:
+        yield sep + rows.template % row
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def json_pieces(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, in
+    pieces; a top-level ``Rows`` value is written from its template."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    sep = "{\n  "
+    for key in sorted(doc):
+        yield sep + json.dumps(key) + ": "
+        value = doc[key]
+        if isinstance(value, Rows):
+            yield from _rows_pieces(value)
+        else:
+            # a value nested one level deeper: each line break gains an indent
+            yield from (chunk.replace("\n", "\n  ") for chunk in encoder.iterencode(value))
+        sep = ",\n  "
+    yield "{}\n" if sep == "{\n  " else "\n}\n"
+
+
 def emit_json(doc: dict) -> None:
     """``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, in batches."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
-    write_pieces(chain(chunks, ["\n"]))
+    write_pieces(json_pieces(doc))
 
 
 class _Echo:
@@ -74,6 +121,8 @@ class _Echo:
 
 def csv_lines(header: list[str], rows: Iterable[Iterable]) -> Iterator[str]:
     """A csv table: the header, then one line per row of cells."""
+    import csv  # only a csv report loads it
+
     writer = csv.writer(_Echo())
     return chain([writer.writerow(header)], map(writer.writerow, rows))
 
@@ -102,21 +151,9 @@ def word_str(w) -> str:
 # subcommands
 
 
-# One entry of an orbits report's "classes" list as ``json.dumps(...,
-# indent=2)`` lays it out; its cells are ints and words of digits and
-# spaces, which need no escaping.
-_ORBIT_CLASS_JSON = (
-    '    {\n      "distance": %d,\n      "representative": "%s",\n      "size": %d\n    }'
-)
-
-
-def _orbit_class_pieces(rows: Iterable[tuple[int, str, int]]) -> Iterator[str]:
-    """The "classes" list of an orbits report, one piece per row, without
-    its brackets."""
-    sep = ""
-    for row in rows:
-        yield sep + _ORBIT_CLASS_JSON % row
-        sep = ",\n"
+_ORBIT_CLASS_JSON = row_template(distance="%d", representative='"%s"', size="%d")
+_HECKE_ORBIT_JSON = row_template(distance="%d", id="%d", representative='"%s"', valency="%d")
+_HECKE_CONSTANT_JSON = row_template(N="%d", i="%d", j="%d", k="%d")
 
 
 def cmd_orbits(args) -> int:
@@ -125,19 +162,16 @@ def cmd_orbits(args) -> int:
     fields = ["distance", "representative", "size"]
     rows = ((c.distance, word_str(c.representative), c.size) for c in table.classes)
     if args.format == "json":
-        rest = {
-            "format_version": 3,
-            "command": "orbits",
-            "degree": F.degree,
-            "generator_hash": F.hash_key(),
-            "radius": table.radius,
-            "sphere_counts": table.sphere_counts(),
-        }
-        # "classes" sorts before every other key, and a table has at least
-        # the base class, so the list opens the document
-        tail = json.dumps(rest, sort_keys=True, indent=2)
-        write_pieces(
-            chain(['{\n  "classes": [\n'], _orbit_class_pieces(rows), ["\n  ],\n", tail[2:], "\n"])
+        emit_json(
+            {
+                "format_version": 3,
+                "command": "orbits",
+                "degree": F.degree,
+                "generator_hash": F.hash_key(),
+                "radius": table.radius,
+                "sphere_counts": table.sphere_counts(),
+                "classes": Rows(_ORBIT_CLASS_JSON, rows),
+            }
         )
     elif args.format == "csv":
         write_pieces(csv_lines(fields, rows))
@@ -162,18 +196,13 @@ def cmd_hecke(args) -> int:
                 "generator_hash": F.hash_key(),
                 "radius": args.radius,
                 "verdict": verdict.describe(),
-                "orbits": [
-                    {
-                        "id": o.id,
-                        "representative": word_str(o.representative),
-                        "distance": o.distance,
-                        "valency": o.size,
-                    }
-                    for o in sc.orbits
-                ],
-                "constants": [
-                    {"i": i, "j": j, "k": k, "N": n} for (i, j, k, n) in sc.entries()
-                ],
+                "orbits": Rows(
+                    _HECKE_ORBIT_JSON,
+                    ((o.distance, o.id, word_str(o.representative), o.size) for o in sc.orbits),
+                ),
+                "constants": Rows(
+                    _HECKE_CONSTANT_JSON, ((n, i, j, k) for i, j, k, n in sc.entries())
+                ),
             }
         )
     elif args.format == "csv":

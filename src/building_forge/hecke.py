@@ -13,20 +13,27 @@ indicators integer valued:
     N[i][j][k] = #{ y : (x0, y) in O_i and (y, z) in O_j }
 
 for any z with (x0, z) in O_k.  The tensor is built in one pass per orbit k:
-with z its representative, every y with |y| + d(y, z) <= R is visited once,
-moved to the base by a transport, and counted under (class of y, class of
-the image of z).  Such a y leaves the geodesic [x0, z] at some z[:m] and
-goes at most (R - |z|) // 2 steps off it, so the build costs about one
-transport per (orbit, y) pair, twice for orbits with a second member:
-independence of the representative is re-verified there by recounting the
-whole row.  Budgets are hard: a convolution either is computed exactly or
-refuses (OutOfBudget), never silently truncated.
+with z its representative, every y with |y| + d(y, z) <= R is visited once
+and counted under (class of y, class of z seen from y).  Such a y leaves
+the geodesic [x0, z] at some z[:m] along a path p of at most
+(R - |z|) // 2 steps, so y = z[:m] + p, and the transport moving y to
+the base sends z to reversed(p) + z[m:], a word already reduced: each row
+costs two class lookups per y and no word reduction.  Orbits with a second
+member are recounted there by the plain word transport, which re-verifies
+both the independence of the representative and the split.  Budgets are
+hard: a convolution either is computed exactly or refuses (OutOfBudget),
+never silently truncated.
+
+The commutativity verdict needs the whole tensor only on the commutative
+side: an asymmetric triple at radius r stays asymmetric at every larger
+radius, and when its first pair starts at the first sphere-1 orbit no pair
+added by a larger radius comes before it (``commutativity_report``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
 from .tree import OutOfBudget, Word, reduce_word
@@ -42,20 +49,28 @@ def _transport(y: Word, z: Word) -> Word:
     return reduce_word(tuple(reversed(y)), z)
 
 
-def _near_geodesic(degree: int, z: Word, steps: int) -> Iterator[Word]:
-    """Every y with |y| + d(y, z) <= |z| + 2 * steps, each exactly once.
+def _near_geodesic(degree: int, z: Word, steps: int) -> tuple[list[Word], list[Word]]:
+    """Every y with |y| + d(y, z) <= |z| + 2 * steps, each exactly once, and
+    beside each the word of z seen from y.
 
-    y leaves the geodesic [x0, z] at z[:m] and goes s <= steps further;
-    its first step off is neither back along z nor on along it.
+    y = z[:m] + p leaves the geodesic [x0, z] at z[:m] along a path p of at
+    most ``steps`` letters, whose first is neither back along z nor on along
+    it; seen from y, z is reversed(p) + z[m:].
     """
+    ys: list[Word] = []
+    moved: list[Word] = []
     for m in range(len(z) + 1):
-        yield z[:m]
+        head, tail = z[:m], z[m:]
+        ys.append(head)
+        moved.append(tail)
         blocked = z[max(m - 1, 0) : m + 1]
-        layer = [z[:m] + (c,) for c in range(degree) if c not in blocked]
+        paths = [(c,) for c in range(degree) if c not in blocked]
         for s in range(steps):
             if s:
-                layer = [w + (c,) for w in layer for c in range(degree) if c != w[-1]]
-            yield from layer
+                paths = [p + (c,) for p in paths for c in range(degree) if c != p[-1]]
+            ys.extend([head + p for p in paths])
+            moved.extend([p[::-1] + tail for p in paths])
+    return ys, moved
 
 
 class StructureConstants:
@@ -81,23 +96,22 @@ class StructureConstants:
         self._build()
 
     # -- construction -------------------------------------------------------
-    def _row(self, z: Word) -> Counter[tuple[int, int]]:
-        """N[i][j][k] for the orbit k of z, keyed by (i, j), nonzero only."""
-        class_of = self._class_of
-        steps = (self.radius_budget - len(z)) // 2
-        return Counter(
-            (class_of[y], class_of[_transport(y, z)])
-            for y in _near_geodesic(self.F.degree, z, steps)
-        )
-
     def _build(self):
+        get = self._class_of.__getitem__
         for k in self.table.classes:
-            row = self._row(k.representative)
-            if k.size > 1 and self._row(min(k.members - {k.representative})) != row:
-                raise RuntimeError(
-                    "intersection number depends on the representative; "
-                    "orbit table is inconsistent"
-                )
+            z = k.representative
+            steps = (self.radius_budget - len(z)) // 2
+            ys, moved = _near_geodesic(self.F.degree, z, steps)
+            # N[i][j][k] keyed by (i, j), nonzero only
+            row = Counter(zip(map(get, ys), map(get, moved)))
+            if k.size > 1:
+                z2 = min(k.members - {z})
+                ys = _near_geodesic(self.F.degree, z2, steps)[0]
+                if Counter((get(y), get(_transport(y, z2))) for y in ys) != row:
+                    raise RuntimeError(
+                        "intersection number depends on the representative; "
+                        "orbit table is inconsistent"
+                    )
             for pair, n in row.items():
                 self._products.setdefault(pair, {})[k.id] = n
 
@@ -241,7 +255,19 @@ def commutativity_of(sc: StructureConstants) -> HeckeVerdict:
 
 
 def commutativity_report(F: LocalGroup, radius: int) -> HeckeVerdict:
-    """Scan all in-budget triples; first asymmetry wins, else commutative."""
+    """The verdict of ``commutativity_of`` at ``radius``, built no further
+    than it needs.
+
+    The tensor is built at min(3, radius) first.  Its first asymmetric pair
+    (1, j) is the first one at ``radius`` too: intersection numbers do not
+    depend on the budget that admits them, the smaller table is an id-for-id
+    prefix of the larger, every pair (0, j) is symmetric, and every pair
+    (1, j') with j' < j already lies in the smaller budget.  Otherwise the
+    tensor is built at ``radius``.
+    """
     if radius < 2:
         raise ValueError("commutativity scans need radius >= 2")
+    probe = commutativity_of(intersection_numbers(F, min(3, radius)))
+    if radius <= 3 or not probe.commutative and probe.witness[0] == 1:
+        return probe._replace(radius=radius)
     return commutativity_of(intersection_numbers(F, radius))

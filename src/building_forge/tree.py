@@ -612,6 +612,13 @@ class TablePortrait(Portrait):
             nxt = self._extend(self._identity, sig, c)
         return sig[c], (w, nxt)
 
+    def power(self, n: int) -> Portrait:
+        """A color transport's power is one transport: t_u o t_v is the
+        transport by the path u then v, so t_u^n is by u^n reduced."""
+        if n >= 1 and all(p == self._identity for p in self._table.values()):
+            return parallel_transport(reduce_word((), self.base_image.word * n), self.degree)
+        return super().power(n)
+
 
 def parallel_transport(word: Sequence[int], degree: int) -> TablePortrait:
     """The color-preserving automorphism sending the base vertex to ``word``.

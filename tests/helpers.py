@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement, permutations
 from random import Random
 
 from building_forge.group import LocalGroup, OrbitTable, k_orbit
+from building_forge.hecke import commutativity_of
 from building_forge.perms import compose, identity, invert, transposition
 from building_forge.tree import (
     _END_WALK_CAP,
@@ -98,6 +99,58 @@ def orbits_report(F: LocalGroup, table: OrbitTable, fmt: str) -> str:
         "| --- | --- | --- |",
     ]
     lines += ["| " + " | ".join(str(row[f]) for f in fields) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def hecke_report(F: LocalGroup, sc, fmt: str) -> str:
+    """The ``hecke`` report rendered from one dict per orbit and per tensor
+    entry by the standard library: the reference the CLI's row writer must
+    match.  ``sc`` is the report's ``StructureConstants``."""
+    verdict = commutativity_of(sc).describe()
+    constants = [{"i": i, "j": j, "k": k, "N": n} for i, j, k, n in sc.entries()]
+    if fmt == "json":
+        doc = {
+            "format_version": 1,
+            "command": "hecke",
+            "degree": F.degree,
+            "generator_hash": F.hash_key(),
+            "radius": sc.radius_budget,
+            "verdict": verdict,
+            "orbits": [
+                {
+                    "id": o.id,
+                    "representative": " ".join(map(str, o.representative)),
+                    "distance": o.distance,
+                    "valency": o.size,
+                }
+                for o in sc.orbits
+            ],
+            "constants": constants,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=["i", "j", "k", "N"])
+        writer.writeheader()
+        writer.writerows(constants)
+        return out.getvalue()
+    ids = [o.id for o in sc.orbits]
+    products = {}
+    for c in constants:
+        products.setdefault((c["i"], c["j"]), []).append(f"{c['N']}[{c['k']}]")
+    lines = [
+        f"orbit algebra at radius {sc.radius_budget}: {verdict}",
+        "| i\\j | " + " | ".join(map(str, ids)) + " |",
+        "|" + "|".join(" --- " for _ in range(len(ids) + 1)) + "|",
+    ]
+    for i in sc.orbits:
+        cells = [
+            " + ".join(products.get((i.id, j.id), ["0"]))
+            if i.distance + j.distance <= sc.radius_budget
+            else "."
+            for j in sc.orbits
+        ]
+        lines.append(f"| {i.id} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import building_forge
-from helpers import orbits_report
-from building_forge import cli, group
+from helpers import hecke_report, orbits_report
+from building_forge import cli, group, hecke
 from building_forge.cli import main
 
 S3_DOC = '{"degree": 3, "generators": ["1 0 2", "0 2 1"]}\n'
@@ -100,6 +100,24 @@ class TestOrbitsRowWriter:
                 code, out, err = run(capsys, argv)
                 assert (code, err) == (0, ""), (name, radius, fmt)
                 assert out == orbits_report(F, table, fmt), (name, radius, fmt)
+
+
+class TestHeckeRowWriter:
+    """The report is written from row templates, byte for byte as the
+    standard library renders one dict per orbit and per tensor entry."""
+
+    @pytest.mark.parametrize("name", sorted(ORBITS_DOCS))
+    def test_every_format_matches_the_dict_rows_rendering(self, name, capsys, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text(ORBITS_DOCS[name])
+        F = group.parse_local_group(ORBITS_DOCS[name])
+        for radius in range(6):
+            sc = hecke.intersection_numbers(F, radius)
+            for fmt in ("json", "csv", "md"):
+                argv = ["hecke", "--group", str(path), "--radius", str(radius), "--format", fmt]
+                code, out, err = run(capsys, argv)
+                assert (code, err) == (0, ""), (name, radius, fmt)
+                assert out == hecke_report(F, sc, fmt), (name, radius, fmt)
 
 
 class TestHecke:
@@ -439,17 +457,26 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["orbits", "--radius", "6"],
-            ["hecke", "--radius", "6"],
-            ["gelfand", "--radius", "6"],
+            ["orbits", "--group", "c3", "--radius", "6"],
+            ["hecke", "--group", "c3", "--radius", "6"],
+            # gelfand holds the whole ball only on the commutative side
+            ["gelfand", "--group", "s3", "--radius", "6"],
         ],
     )
     def test_oversized_ball_refused(self, groups, capsys, monkeypatch, argv):
         # the ball of radius 6 in the 3-regular tree has 190 words
         monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
-        code, out, err = run(capsys, argv[:1] + ["--group", groups["c3"]] + argv[1:])
+        code, out, err = run(capsys, [groups.get(a, a) for a in argv])
         assert code == 3 and out == ""
         assert "190 words" in err
+
+    def test_noncommutative_gelfand_answers_past_the_cap(self, groups, capsys, monkeypatch):
+        # the verdict is read off radius 3, so the radius-6 ball is never built
+        argv = ["gelfand", "--group", groups["c3"], "--radius", "6"]
+        uncapped = run(capsys, argv)
+        monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
+        assert run(capsys, argv) == uncapped
+        assert uncapped[0] == 0 and "noncommutative" in uncapped[1]
 
     def test_bad_permutation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -559,10 +586,11 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_command_loads_no_dataclasses_inspect_or_fractions(self, tmp_path, argv):
-        # against a bare interpreter, since a site .pth file may preload modules
+        # against a bare interpreter, since a site .pth file may preload
+        # modules; these json runs need no csv either
         added = self.run_command(tmp_path, argv) - self.loaded("pass")
         assert "building_forge.cli" in added
-        assert not added & {"dataclasses", "inspect", "fractions"}
+        assert not added & {"dataclasses", "inspect", "fractions", "csv"}
 
     def test_cli_leaves_coxeter_out(self):
         loaded = self.loaded("import building_forge.cli")

@@ -1,5 +1,6 @@
 """Orbit algebra: intersection numbers, convolution, commutativity."""
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -20,6 +21,8 @@ from building_forge.hecke import (
     HeckeVerdict,
     KernelFunction,
     OutOfBudget,
+    _near_geodesic,
+    _transport,
     commutativity_of,
     commutativity_report,
     convolve,
@@ -194,6 +197,61 @@ class TestCommutativity:
         assert len(counts) == 1
 
 
+class TestCommutativityReport:
+    """The report reads a noncommutative verdict off radius 3 when its first
+    pair is (1, j), and builds the whole tensor otherwise."""
+
+    def test_equals_the_full_scan_on_every_small_group(self):
+        cases = [(F, 6) for F in subgroups_of_symmetric(3)]
+        cases += [(F, 5) for F in subgroups_of_symmetric(4)]
+        cases += [(F, 4) for F in subgroups_of_symmetric(5)]
+        # the least radius at which the full scan's first pair is (1, j)
+        first_radius = Counter()
+        for F, max_radius in cases:
+            found = None
+            for radius in range(2, max_radius + 1):
+                full = commutativity_of(intersection_numbers(F, radius))
+                assert commutativity_report(F, radius) == full, (F, radius)
+                if found is None and not full.commutative and full.witness[0] == 1:
+                    found = radius
+            first_radius[found] += 1
+            assert (found is None) == F.two_transitive, F
+        assert first_radius == {2: 161, 3: 20, None: 11}
+
+    def test_noncommutative_side_builds_radius_three_only(self, monkeypatch):
+        built = []
+
+        def recording(F, radius):
+            built.append(radius)
+            return intersection_numbers(F, radius)
+
+        monkeypatch.setattr(hecke, "intersection_numbers", recording)
+        verdict = commutativity_report(C3, 9)
+        assert built == [3] and verdict.radius == 9 and not verdict.commutative
+        built.clear()
+        assert commutativity_report(S3, 9).commutative and built == [3, 9]
+
+
+class TestGeodesicSplit:
+    """The neighbourhood of a class representative, enumerated along the
+    geodesic split, against the ball and the plain word transport."""
+
+    @pytest.mark.parametrize(
+        "F, radius",
+        [(TRIV, 6), (C3, 6), (S3, 6), (LocalGroup(4, [(1, 2, 3, 0), (3, 2, 1, 0)]), 5)],
+        ids=["trivial3", "C3", "S3", "D4"],
+    )
+    def test_split_row_equals_the_transport_row(self, F, radius):
+        ball = list(ball_words(F.degree, radius))
+        for k in orbit_table(F, radius).classes:
+            z = k.representative
+            steps = (radius - len(z)) // 2
+            ys, moved = _near_geodesic(F.degree, z, steps)
+            near = [y for y in ball if len(y) + word_distance(y, z) <= len(z) + 2 * steps]
+            assert sorted(ys) == sorted(near), (F, z)
+            assert moved == [_transport(y, z) for y in ys], (F, z)
+
+
 SUBGROUP_CASES = [(F, 5) for F in subgroups_of_symmetric(3)] + [
     (F, 4) for F in subgroups_of_symmetric(4)
 ]
@@ -296,6 +354,17 @@ class TestRepresentativeCheck:
         # now share a class without being equivalent, so their rows differ
         bad = split_class(orbit_table(C3, 4), 1, [(0,)])
         monkeypatch.setattr(hecke, "orbit_table", lambda F, radius: bad)
+        with pytest.raises(RuntimeError, match="depends on the representative"):
+            intersection_numbers(C3, 4)
+
+    def test_wrong_split_is_refused(self, monkeypatch):
+        # a split that forgets to move z: the representative's row no longer
+        # matches the second member's row, recounted by the word transport
+        def unmoved(degree, z, steps):
+            ys, moved = _near_geodesic(degree, z, steps)
+            return ys, [z] * len(moved)
+
+        monkeypatch.setattr(hecke, "_near_geodesic", unmoved)
         with pytest.raises(RuntimeError, match="depends on the representative"):
             intersection_numbers(C3, 4)
 

@@ -14,7 +14,7 @@ from helpers import (
     random_k_recipe,
     transport_recipe,
 )
-from building_forge.group import enumerate_ends
+from building_forge.group import LocalGroup, enumerate_ends
 from building_forge.perms import transposition
 from building_forge.tree import (
     EXTEND_CONSTANT,
@@ -124,6 +124,47 @@ class TestAlgebra:
     def test_power(self):
         g = parallel_transport((0, 1), 3)
         assert g.power(3).image(ROOT).word == (0, 1) * 3
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            parallel_transport((0,), 3),
+            parallel_transport((0, 1), 3),
+            parallel_transport((0, 1, 0), 3),
+            parallel_transport((1, 2, 0, 1), 3),
+            constant_portrait(TreeVertex((2, 0, 1)), (0, 1, 2), 3),
+        ],
+        ids=["edge flip", "(0 1)", "elliptic (0 1 0)", "(1 2 0 1)", "constant identity"],
+    )
+    def test_power_of_a_transport_is_one_transport(self, t):
+        C3 = LocalGroup(3, [(1, 2, 0)])
+        ends = enumerate_ends(3, 2, 3)
+        composed = t
+        for n in range(1, 7):
+            if n > 1:
+                composed = composed.compose(t)
+            p = t.power(n)
+            assert isinstance(p, TablePortrait) and p._table == {}
+            for w in ball_words(3, 4):
+                v = TreeVertex(w)
+                assert p.image(v) == composed.image(v), (n, w)
+                assert p.sigma(v) == composed.sigma(v), (n, w)
+            for end in ends:
+                assert p.image_of_end(end) == composed.image_of_end(end), (n, end)
+            assert C3.first_outside(p) is None and C3.first_outside(composed) is None
+
+    def test_power_of_a_transport_builds_in_linear_calls(self):
+        # one pass over the base word: composing 400 machines took 0.7 s
+        t = parallel_transport((0, 1, 2), 3)
+        assert python_calls(lambda: t.power(400)) <= 2.5 * python_calls(lambda: t.power(200))
+        assert t.power(400).base_image.word == (0, 1, 2) * 400
+
+    def test_power_of_a_stabilizer_element_composes(self):
+        k = random_k_portrait(Random(29), 3, 3, EXTEND_SPARSE)
+        cube = k.power(3)
+        for w in ball_words(3, 4):
+            v = TreeVertex(w)
+            assert cube.image(v) == k.image(k.image(k.image(v)))
 
 
 def oracle_end_image(g, end, depth=60):
