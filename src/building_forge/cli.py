@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -127,20 +127,12 @@ def csv_lines(header: list[str], rows: Iterable[Iterable]) -> Iterator[str]:
     return chain([writer.writerow(header)], map(writer.writerow, rows))
 
 
-def emit_csv(rows: Iterable[dict], fieldnames: list[str]) -> None:
-    write_pieces(csv_lines(fieldnames, ([row[f] for f in fieldnames] for row in rows)))
-
-
 def md_lines(header: list[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
     """A markdown table: the header, its rule, then one line per row of cells."""
     yield "| " + " | ".join(header) + " |\n"
     yield "|" + "|".join(" --- " for _ in header) + "|\n"
     for cells in rows:
         yield "| " + " | ".join(cells) + " |\n"
-
-
-def emit_md_table(rows: list[dict], fieldnames: list[str]) -> None:
-    write_pieces(md_lines(fieldnames, ([str(row[f]) for f in fieldnames] for row in rows)))
 
 
 def word_str(w) -> str:
@@ -154,6 +146,7 @@ def word_str(w) -> str:
 _ORBIT_CLASS_JSON = row_template(distance="%d", representative='"%s"', size="%d")
 _HECKE_ORBIT_JSON = row_template(distance="%d", id="%d", representative='"%s"', valency="%d")
 _HECKE_CONSTANT_JSON = row_template(N="%d", i="%d", j="%d", k="%d")
+_DYNAMICS_ROW_JSON = row_template(agreement_depth="%d", axis_overlap="%d", n="%d")
 
 
 def cmd_orbits(args) -> int:
@@ -209,16 +202,19 @@ def cmd_hecke(args) -> int:
         write_pieces(csv_lines(["i", "j", "k", "N"], sc.entries()))
     else:
         print(f"orbit algebra at radius {args.radius}: {verdict.describe()}")
-        ids = [o.id for o in sc.orbits]
+        # ids run by distance, so a row at distance d is in budget on its
+        # first within[radius - d] cells; within[r] counts the ids at distance <= r
+        within = list(accumulate(sc.table.sphere_counts()))
+        products, size = sc._products, len(sc.orbits)
 
-        def cell(i, j):
-            if not sc.in_budget(i, j):
-                return "."
-            terms = [f"{n}[{k}]" for k, n in sc.products_of(i, j)]
-            return " + ".join(terms) if terms else "0"
+        def row(o):
+            width = within[args.radius - o.distance]
+            found = (products.get((o.id, j)) for j in range(width))
+            cells = [" + ".join(f"{n}[{k}]" for k, n in t.items()) if t else "0" for t in found]
+            return [str(o.id), *cells, *["."] * (size - width)]
 
-        header = ["i\\j"] + [str(j) for j in ids]
-        write_pieces(md_lines(header, ([str(i)] + [cell(i, j) for j in ids] for i in ids)))
+        header = ["i\\j"] + [str(o.id) for o in sc.orbits]
+        write_pieces(md_lines(header, map(row, sc.orbits)))
     return 0
 
 
@@ -232,7 +228,7 @@ def cmd_gelfand(args) -> int:
         emit_json(doc)
     elif args.format == "csv":
         flat = {k: json.dumps(v) if isinstance(v, (dict, list)) else v for k, v in doc.items()}
-        emit_csv([flat], list(flat))
+        write_pieces(csv_lines(list(flat), [flat.values()]))
     else:
         for key in sorted(doc):
             print(f"- **{key}**: {doc[key]}")
@@ -302,27 +298,31 @@ def cmd_dynamics(args) -> int:
     ends = tree.iterate_on_end(a, cls, xi, args.nmax)
     overlaps = tree.segment_through_apartment(a, cls, ROOT, ROOT, args.nmax)
     plus = cls.axis.end_plus
-    rows = []
-    for n in range(1, args.nmax + 1):
-        depth = ends[n].agreement_depth(plus) if ends[n] != plus else -1
-        rows.append({"n": n, "agreement_depth": depth, "axis_overlap": overlaps[n]})
-    doc = {
-        "format_version": 1,
-        "command": "dynamics",
-        "degree": degree,
-        "translation_length": cls.length,
-        "certification_radius": radius,
-        "nmax": args.nmax,
-        "rows": rows,
-        "note": "agreement_depth -1 means the iterate equals the attracting end",
-    }
+    # one (n, agreement_depth, axis_overlap) row per iterate, none for m = 0
+    rows = (
+        (n, end.agreement_depth(plus) if end != plus else -1, overlap)
+        for n, (end, overlap) in enumerate(zip(ends, overlaps))
+        if n
+    )
+    fields = ["n", "agreement_depth", "axis_overlap"]
     if args.format == "json":
-        emit_json(doc)
+        emit_json(
+            {
+                "format_version": 1,
+                "command": "dynamics",
+                "degree": degree,
+                "translation_length": cls.length,
+                "certification_radius": radius,
+                "nmax": args.nmax,
+                "rows": Rows(_DYNAMICS_ROW_JSON, ((d, o, n) for n, d, o in rows)),
+                "note": "agreement_depth -1 means the iterate equals the attracting end",
+            }
+        )
     elif args.format == "csv":
-        emit_csv(rows, ["n", "agreement_depth", "axis_overlap"])
+        write_pieces(csv_lines(fields, rows))
     else:
         print(f"hyperbolic of length {cls.length}; iterating toward the attracting end")
-        emit_md_table(rows, ["n", "agreement_depth", "axis_overlap"])
+        write_pieces(md_lines(fields, (map(str, row) for row in rows)))
     return 0
 
 
@@ -345,7 +345,7 @@ def cmd_find_sr(args) -> int:
     if args.format == "json":
         emit_json(doc)
     elif args.format == "csv":
-        emit_csv([doc], list(doc))
+        write_pieces(csv_lines(list(doc), [doc.values()]))
     else:
         for key, val in doc.items():
             print(f"- **{key}**: {val}")

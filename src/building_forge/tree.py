@@ -23,6 +23,7 @@ provably cycle.
 
 from __future__ import annotations
 
+from itertools import chain, cycle
 from math import lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -488,7 +489,7 @@ class Portrait:
     def displacement(self, v: TreeVertex) -> int:
         return self.image(v).distance(v)
 
-    def image_of_end(self, end: TreeEnd, _abort_if_not: TreeEnd | None = None):
+    def image_of_end(self, end: TreeEnd) -> TreeEnd:
         """Exact image of an eventually periodic end, in normal form.
 
         Walks the ray to ``end`` one ``step`` at a time.  The image path is
@@ -496,47 +497,36 @@ class Portrait:
         letter per step.  Once it extends, a repeat of (phase of the period,
         state, last image letter) repeats every later step, so the letters
         emitted between the two visits are the image end's period.
-
-        With ``_abort_if_not`` set, returns None as soon as the image is
-        certain to differ from the given end.
         """
         pre_len = len(end.prefix)
         per_len = len(end.period)
         u = list(self.base_image.word)
         cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
         step, state = self.step, self.start
-        ray: Word = ()
-        target: Word = ()
+        ray = chain(end.prefix, cycle(end.period))
         # seen maps a key to the image length when it was recorded; every
         # dip clears seen, so a recorded image is a prefix of the current one
         seen: dict = {}
-        for k in range(cap):
-            if k == len(ray):
-                ray = end.word_prefix(2 * k + 64)
+        for k, c in zip(range(cap), ray):
             if k >= pre_len:
                 key = ((k - pre_len) % per_len, state, u[-1] if u else -1)
                 hit = seen.get(key)
                 if hit is not None:
                     return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
                 seen[key] = len(u)
-            e, state = step(state, ray[k])
+            e, state = step(state, c)
             if u and u[-1] == e:
                 # image path still dipping toward the root
                 u.pop()
                 seen.clear()
             else:
                 u.append(e)
-                if _abort_if_not is not None:
-                    if len(u) > len(target):
-                        target = _abort_if_not.word_prefix(2 * len(u) + 64)
-                    if target[len(u) - 1] != e:
-                        return None
         raise RuntimeError(
             "end image did not stabilize; the portrait is probably not an automorphism"
         )
 
     def fixes_end(self, end: TreeEnd) -> bool:
-        return self.image_of_end(end, _abort_if_not=end) == end
+        return self.image_of_end(end) == end
 
 
 class TablePortrait(Portrait):
@@ -560,7 +550,6 @@ class TablePortrait(Portrait):
         table: dict | None = None,
         degree: int = 3,
         extension: str = EXTEND_SPARSE,
-        strict: bool = True,
     ):
         if degree < 3:
             raise ValueError("thickness requires degree q+1 >= 3")
@@ -586,16 +575,8 @@ class TablePortrait(Portrait):
             raise ValueError("base image uses colors outside the degree")
         start = (() if self._table_depth > 0 else None, tbl.get((), self._identity))
         super().__init__(degree, base_image, start, self._step)
-        if strict:
-            self._check_table_cocycle()
-
-    def _check_table_cocycle(self):
-        for w in sorted(self._table, key=len):
-            if not w:
-                continue
-            c = w[-1]
-            sp = self.sigma(TreeVertex(w[:-1]))
-            if self._table[w][c] != sp[c]:
+        for w in sorted(tbl, key=len):
+            if w and tbl[w][w[-1]] != self.sigma(_vertex(w[:-1]))[w[-1]]:
                 raise ValueError(f"legality cocycle violated at table vertex {w}")
 
     def _step(self, state: tuple, c: int) -> tuple:
@@ -893,11 +874,14 @@ def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
 # dynamics at infinity
 
 
-def iterate_on_end(a: Portrait, cls: IsometryClass, xi: TreeEnd, n: int) -> list[TreeEnd]:
-    """[a^m(xi) for m = 0..n] for hyperbolic a, whose classification is
-    ``cls``; exact, in normal form.
+def iterate_on_end(
+    a: Portrait, cls: IsometryClass, xi: TreeEnd, n: int
+) -> Iterator[TreeEnd]:
+    """a^m(xi) for m = 0..n, one at a time, for hyperbolic a whose
+    classification is ``cls``; exact, in normal form.
 
-    The repelling axis end is rejected (it is fixed, and every other end
+    The arguments are checked at the call, before any iterate.  The
+    repelling axis end is rejected (it is fixed, and every other end
     converges to the attracting one).
     """
     if n < 0:
@@ -906,27 +890,32 @@ def iterate_on_end(a: Portrait, cls: IsometryClass, xi: TreeEnd, n: int) -> list
         raise NotHyperbolic("iteration at infinity needs a hyperbolic automorphism")
     if xi == cls.axis.end_minus:
         raise RepellingFixedEnd("the chosen end is the repelling fixed end")
-    out = [xi]
-    for _ in range(n):
-        out.append(a.image_of_end(out[-1]))
-    return out
+
+    def iterates() -> Iterator[TreeEnd]:
+        end = xi
+        yield end
+        for _ in range(n):
+            end = a.image_of_end(end)
+            yield end
+
+    return iterates()
 
 
 def segment_through_apartment(
     a: Portrait, cls: IsometryClass, x0: TreeVertex, x: TreeVertex, n: int
 ) -> list[int]:
     """For m = 0..n, the length of the geodesic [x0, a^m(x)] intersected
-    with the axis of a, whose classification is ``cls``."""
+    with the axis of a, whose classification is ``cls``.
+
+    a maps its axis to itself, translating it by ``cls.length`` toward
+    ``end_plus``, and commutes with projection onto it; so a^m(x) projects
+    to p + m * length, where x projects to p, and no image is computed.
+    """
     if not cls.is_hyperbolic:
         raise NotHyperbolic("the automorphism must be hyperbolic")
-    c0, _ = cls.axis.project(x0)
-    out = []
-    w = x
-    for m in range(n + 1):
-        if m:
-            w = a.image(w)
-        out.append(abs(cls.axis.project(w)[0] - c0))
-    return out
+    c0 = cls.axis.project(x0)[0]
+    p = cls.axis.project(x)[0]
+    return [abs(p + m * cls.length - c0) for m in range(n + 1)]
 
 
 def pigeonhole_find_hyperbolic(

@@ -154,6 +154,47 @@ def hecke_report(F: LocalGroup, sc, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dynamics_report(a: Portrait, xi: TreeEnd, nmax: int, fmt: str) -> str:
+    """The ``dynamics`` report rendered from one dict per iterate by the
+    standard library: the reference the CLI's row writer must match.  The
+    iterates are repeated end images, and each overlap is ``axis_overlap``
+    for its one n."""
+    radius = default_search_radius(a)
+    cls = classify_isometry(a, radius)
+    plus = cls.axis.end_plus
+    rows, end = [], xi
+    for n in range(1, nmax + 1):
+        end = a.image_of_end(end)
+        depth = end.agreement_depth(plus) if end != plus else -1
+        rows.append({"n": n, "agreement_depth": depth, "axis_overlap": axis_overlap(a, ROOT, ROOT, n)})
+    fields = ["n", "agreement_depth", "axis_overlap"]
+    if fmt == "json":
+        doc = {
+            "format_version": 1,
+            "command": "dynamics",
+            "degree": a.degree,
+            "translation_length": cls.length,
+            "certification_radius": radius,
+            "nmax": nmax,
+            "rows": rows,
+            "note": "agreement_depth -1 means the iterate equals the attracting end",
+        }
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(rows)
+        return out.getvalue()
+    lines = [
+        f"hyperbolic of length {cls.length}; iterating toward the attracting end",
+        "| n | agreement_depth | axis_overlap |",
+        "| --- | --- | --- |",
+    ]
+    lines += ["| " + " | ".join(str(row[f]) for f in fields) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
     """U(F)-legality oracle: every local permutation of ``g`` within the
     ball of ``radius`` lies in F and satisfies the legality cocycle."""
@@ -490,7 +531,7 @@ class MemoTablePortrait(MemoPortrait):
     restated here.  Quadratic in memory along a long word; kept as the
     oracle for ``TablePortrait``, whose arguments it takes and trusts."""
 
-    def __init__(self, base_image, table=None, degree=3, extension=EXTEND_SPARSE, strict=True):
+    def __init__(self, base_image, table=None, degree=3, extension=EXTEND_SPARSE):
         self.degree = degree
         self.base_image = base_image
         self.extension = extension

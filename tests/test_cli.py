@@ -11,9 +11,16 @@ from pathlib import Path
 import pytest
 
 import building_forge
-from helpers import hecke_report, orbits_report
+from helpers import dynamics_report, hecke_report, orbits_report
 from building_forge import cli, group, hecke
 from building_forge.cli import main
+from building_forge.tree import (
+    EXTEND_CONSTANT,
+    TablePortrait,
+    TreeEnd,
+    TreeVertex,
+    parallel_transport,
+)
 
 S3_DOC = '{"degree": 3, "generators": ["1 0 2", "0 2 1"]}\n'
 C3_DOC = '{"degree": 3, "generators": ["1 2 0"]}\n'
@@ -322,6 +329,70 @@ class TestDynamics:
         assert "--nmax" in capsys.readouterr().err
 
 
+S4_DOC = '{"degree": 4, "generators": ["1 0 2 3", "1 2 3 0"]}\n'
+INSIDE_C3 = {"base_image": "0 2", "exceptions": {"": "1 2 0"}, "extension": "constant"}
+STEP_S3 = {"base_image": "1", "exceptions": {"": "1 0 2"}, "extension": "constant"}
+
+
+class TestDynamicsRowWriter:
+    """The report is streamed one iterate at a time, byte for byte as the
+    standard library renders a list of one dict per iterate."""
+
+    @pytest.mark.parametrize(
+        "doc, auto, end, portrait",
+        [
+            (C3_DOC, "transport:0,1", ":0,2", lambda: parallel_transport((0, 1), 3)),
+            # the attracting end itself: every row reads -1
+            (C3_DOC, "transport:0,1", ":0,1", lambda: parallel_transport((0, 1), 3)),
+            (C3_DOC, "transport:2,1,0", "1 2:0,1", lambda: parallel_transport((2, 1, 0), 3)),
+            (S4_DOC, "transport:0,1,2", "3:0,2", lambda: parallel_transport((0, 1, 2), 4)),
+            (C3_DOC, INSIDE_C3, ":0,2",
+             lambda: TablePortrait(TreeVertex((0, 2)), {(): (1, 2, 0)}, 3, EXTEND_CONSTANT)),
+            (S3_DOC, STEP_S3, ":0,2",
+             lambda: TablePortrait(TreeVertex((1,)), {(): (1, 0, 2)}, 3, EXTEND_CONSTANT)),
+        ],
+        ids=["C3-t01", "C3-t01-attracting", "C3-t210", "S4-t012", "C3-table", "S3-table"],
+    )
+    def test_every_format_matches_the_dict_rows_rendering(
+        self, capsys, tmp_path, doc, auto, end, portrait
+    ):
+        path = tmp_path / "group.json"
+        path.write_text(doc)
+        if isinstance(auto, dict):
+            (tmp_path / "auto.json").write_text(json.dumps(auto))
+            auto = str(tmp_path / "auto.json")
+        pre, per = end.split(":")
+        xi = TreeEnd(tuple(map(int, pre.replace(",", " ").split())), tuple(map(int, per.split(","))))
+        a = portrait()
+        for nmax in (1, 12):
+            for fmt in ("json", "csv", "md"):
+                argv = ["dynamics", "--group", str(path), "--auto", auto, "--end", end,
+                        "--nmax", str(nmax), "--format", fmt]
+                code, out, err = run(capsys, argv)
+                assert (code, err) == (0, ""), (nmax, fmt)
+                assert out == dynamics_report(a, xi, nmax, fmt), (nmax, fmt)
+
+    def test_peak_memory_grows_linearly_with_nmax(self, groups, monkeypatch):
+        """No iterate outlives its row.  Holding every iterate, whose prefix
+        grows with m, made the peak quadratic in --nmax (ten times the peak
+        at a quarter of the nmax); what is left grows linearly: the one end
+        walked, whose prefix is about 2m letters, and the rows of one batch."""
+
+        def peak(nmax):
+            monkeypatch.setattr(sys, "stdout", CountingStdout())
+            argv = ["dynamics", "--group", groups["c3"], "--auto", "transport:0,1",
+                    "--end", ":0,2", "--nmax", str(nmax)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)
+        assert peak(800) < 1.5 * 4 * peak(200)
+
+
 class TestFindSR:
     def test_finds_translation(self, groups, capsys):
         code, out, _ = run(
@@ -416,12 +487,13 @@ class TestEmit:
         assert peak < text_length
 
     def test_csv_and_md_batched(self, monkeypatch, big):
-        rows = big[0]["classes"]
         fields = ["distance", "representative", "size"]
-        for emit in (cli.emit_csv, cli.emit_md_table):
+        rows = [[str(c[f]) for f in fields] for c in big[0]["classes"]]
+        for table in (cli.csv_lines, cli.md_lines):
             out = CountingStdout()
             monkeypatch.setattr(sys, "stdout", out)
-            emit(rows, fields)
+            cli.write_pieces(table(fields, rows))
+            assert out.chars == len("".join(table(fields, rows)))
             assert out.writes <= math.ceil((len(rows) + 2) / cli.WRITE_BATCH) + 1
 
 

@@ -5,12 +5,14 @@ from random import Random
 
 import pytest
 
-from helpers import axis_overlap, random_hyperbolic
+from helpers import axis_overlap, random_hyperbolic, random_k_recipe
 from building_forge.group import enumerate_ends
 from building_forge.tree import (
+    EXTEND_SPARSE,
     ROOT,
     BudgetExhausted,
     NotInStabilizer,
+    Portrait,
     RepellingFixedEnd,
     TablePortrait,
     TreeApartment,
@@ -154,7 +156,8 @@ class TestIterateOnEnd:
     def test_attracting_end_fixed(self):
         g = parallel_transport((0, 1), 3)
         for n in (1, 3):
-            assert iterate_on_end(g, classified(g), TreeEnd((), (0, 1)), n)[n] == TreeEnd((), (0, 1))
+            ends = list(iterate_on_end(g, classified(g), TreeEnd((), (0, 1)), n))
+            assert ends[n] == TreeEnd((), (0, 1))
 
     def test_repelling_end_rejected(self):
         g = parallel_transport((0, 1), 3)
@@ -168,7 +171,7 @@ class TestIterateOnEnd:
             cls = classified(g)
             minus = cls.axis.end_minus
             xi = TreeEnd((), (0, 2)) if minus != TreeEnd((), (0, 2)) else TreeEnd((2,), (0, 1))
-            got = iterate_on_end(g, cls, xi, 8)
+            got = list(iterate_on_end(g, cls, xi, 8))
             current = xi
             for m in range(9):
                 assert got[m] == current
@@ -233,14 +236,68 @@ class TestSegmentThroughApartment:
 
     def test_sequence_matches_the_per_power_overlap(self):
         rng = Random(59)
-        words = list(ball_words(3, 4))
-        for _ in range(4):
-            g, _ = random_hyperbolic(rng, 3)
-            for _ in range(2):
-                x0 = TreeVertex(rng.choice(words))
-                x = TreeVertex(rng.choice(words))
-                got = segment_through_apartment(g, classified(g), x0, x, 12)
-                assert got == [axis_overlap(g, x0, x, m) for m in range(13)]
+        behind = off_axis = 0
+        for degree in (3, 4, 5):
+            words = list(ball_words(degree, 3))
+            for kind, g in sample_hyperbolics(rng, degree):
+                cls = classified(g)
+                points = [ROOT, TreeVertex(rng.choice(words)), off_axis_behind_the_base(cls, degree)]
+                for x0, x in zip(points, points[1:] + points[:1]):
+                    got = segment_through_apartment(g, cls, x0, x, 8)
+                    assert got == [axis_overlap(g, x0, x, m) for m in range(9)], (kind, x0, x)
+                    coord, dist = cls.axis.project(x)
+                    behind += coord < cls.axis.project(ROOT)[0]
+                    off_axis += dist > 0 and cls.axis.project(x0)[1] > 0
+        assert behind and off_axis
+
+    def test_computes_no_image(self, monkeypatch):
+        g = parallel_transport((0, 1, 2), 3)
+        cls = classified(g)
+        calls = 0
+        image = Portrait.image
+
+        def counting(self, v):
+            nonlocal calls
+            calls += 1
+            return image(self, v)
+
+        monkeypatch.setattr(Portrait, "image", counting)
+        got = segment_through_apartment(g, cls, TreeVertex((2,)), TreeVertex((1, 0)), 50)
+        assert calls == 0
+        assert got[50] == axis_overlap(g, TreeVertex((2,)), TreeVertex((1, 0)), 50)
+
+
+def sample_hyperbolics(rng: Random, degree: int) -> list:
+    """(kind, portrait) pairs: two random hyperbolics, then a table portrait
+    with a nonempty base image and a constant portrait, each hyperbolic with
+    an axis that misses the base vertex."""
+    out = [("random", random_hyperbolic(rng, degree)[0]) for _ in range(2)]
+    words = [w for w in ball_words(degree, 4) if w]
+    makers = {
+        "table": lambda: TablePortrait(
+            TreeVertex(rng.choice(words)),
+            random_k_recipe(rng, degree, 2, EXTEND_SPARSE)(TablePortrait)._table,
+            degree,
+        ),
+        "constant": lambda: constant_portrait(
+            TreeVertex(rng.choice(words)), tuple(rng.sample(range(degree), degree)), degree
+        ),
+    }
+    for kind, make in makers.items():
+        g = make()
+        while not (classified(g).is_hyperbolic and classified(g).axis.project(ROOT)[1]):
+            g = make()
+        out.append((kind, g))
+    return out
+
+
+def off_axis_behind_the_base(cls, degree: int) -> TreeVertex:
+    """A vertex one step off the axis, projecting two steps behind the base
+    vertex's projection (toward the repelling end)."""
+    t = cls.axis.project(ROOT)[0] - 2
+    v = cls.axis.vertex_at(t)
+    on_axis = {cls.axis.vertex_at(t - 1), cls.axis.vertex_at(t + 1)}
+    return next(u for u in map(v.neighbor, range(degree)) if u not in on_axis)
 
 
 class TestPigeonhole:

@@ -38,6 +38,7 @@ from building_forge.tree import (
     ROOT,
     BudgetExhausted,
     NotHyperbolic,
+    Portrait,
     TablePortrait,
     TreeEnd,
     TreeVertex,
@@ -106,9 +107,14 @@ class TestCheckLegal:
         assert not check_legal(bad, C3, 3)
 
     def test_cocycle_violation_detected(self):
-        g = TablePortrait(
-            ROOT, {(): transposition(3, 0, 1), (0,): (0, 1, 2)}, 3, strict=False
-        )
+        # (0 1) at the base vertex and the identity below it: the two ends of
+        # the edge of color 0 send it to different colors
+        swap01 = transposition(3, 0, 1)
+
+        def step(state, c):
+            return (swap01 if state == "base" else (0, 1, 2))[c], "below"
+
+        g = Portrait(3, ROOT, "base", step)
         assert not check_legal(g, S3, 2)
 
 
