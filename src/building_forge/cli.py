@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import accumulate, chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -45,16 +45,24 @@ def load_group(path: str) -> LocalGroup:
 # rendering
 
 
-# Text pieces joined into one write: a report never exists whole beside its
-# table, and an unbuffered stdout still sees few system calls.
-WRITE_BATCH = 4096
+# The characters joined into one write: a report never exists whole beside
+# its table, however wide its rows, and an unbuffered stdout still sees few
+# system calls.
+WRITE_BATCH = 1 << 16
 
 
 def write_pieces(pieces) -> None:
-    """Write the text ``pieces`` to stdout, ``WRITE_BATCH`` of them per write."""
+    """Write the text ``pieces`` to stdout, joined until ``WRITE_BATCH``
+    characters are reached."""
     out = sys.stdout
-    pieces = iter(pieces)
-    while batch := list(islice(pieces, WRITE_BATCH)):
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_BATCH:
+            out.write("".join(batch))
+            batch, size = [], 0
+    if batch:
         out.write("".join(batch))
 
 
@@ -202,16 +210,12 @@ def cmd_hecke(args) -> int:
         write_pieces(csv_lines(["i", "j", "k", "N"], sc.entries()))
     else:
         print(f"orbit algebra at radius {args.radius}: {verdict.describe()}")
-        # ids run by distance, so a row at distance d is in budget on its
-        # first within[radius - d] cells; within[r] counts the ids at distance <= r
-        within = list(accumulate(sc.table.sphere_counts()))
-        products, size = sc._products, len(sc.orbits)
+        size = len(sc.orbits)
 
         def row(o):
-            width = within[args.radius - o.distance]
-            found = (products.get((o.id, j)) for j in range(width))
+            found = sc.row(o.id)
             cells = [" + ".join(f"{n}[{k}]" for k, n in t.items()) if t else "0" for t in found]
-            return [str(o.id), *cells, *["."] * (size - width)]
+            return [str(o.id), *cells, *["."] * (size - len(cells))]
 
         header = ["i\\j"] + [str(o.id) for o in sc.orbits]
         write_pieces(md_lines(header, map(row, sc.orbits)))

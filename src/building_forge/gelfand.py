@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .group import (
-    GrowthReport,
     LocalGroup,
     fixed_end_check,
     k_orbit,
@@ -42,33 +41,13 @@ from .tree import (
     TreeEnd,
     TreeVertex,
     Word,
+    least_tail,
     parallel_transport,
     pigeonhole_find_hyperbolic,
     sphere_words,
     standard_apartment,
     transport_between,
 )
-
-
-class StrongTransitivityReport(NamedTuple):
-    """Finite-depth shadows of boundary transitivity, with their depths."""
-
-    depth: int
-    two_transitive_on_ends: bool
-    growth: GrowthReport
-    fixed_ends: tuple[TreeEnd, ...]
-
-
-def strong_transitivity_verdict(F: LocalGroup, depth: int) -> StrongTransitivityReport:
-    """Assemble the boundary proxies at the given certification depth."""
-    if depth < 3:
-        raise ValueError("the verdict needs depth >= 3")
-    return StrongTransitivityReport(
-        depth=depth,
-        two_transitive_on_ends=two_transitivity_on_ends_proxy(F, depth),
-        growth=orbit_count_growth(F, depth),
-        fixed_ends=tuple(sorted(fixed_end_check(F), key=repr)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +135,7 @@ def separation_end(F: LocalGroup, axis) -> tuple[TreeEnd, int]:
         sphere_size = degree * (degree - 1) ** (r - 1)
         if len(shadow) < sphere_size:
             outside = min(w for w in sphere_words(degree, r) if w not in shadow)
-            a = min(x for x in range(degree) if x != outside[-1])
-            b = min(x for x in range(degree) if x != a)
-            return TreeEnd(outside, (a, b)), r
+            return TreeEnd(outside, least_tail(outside[-1], degree)), r
     raise RuntimeError(
         "no separating end within the depth cap; the stabilizer shadows cover "
         "every sphere tried"
@@ -169,11 +146,9 @@ _CERTIFICATE_CAP = 500_000
 
 
 def certify_disjoint(
-    F: LocalGroup, a: Portrait, b: Portrait, m: int, n: int
+    F: LocalGroup, alpha: Portrait, beta: Portrait
 ) -> tuple[bool, frozenset[Word], frozenset[Word]]:
-    """Exact vertex-level disjointness check for the powers (a^m, b^n)."""
-    alpha = a.power(m)
-    beta = b.power(n)
+    """Exact vertex-level disjointness check for the pair (alpha, beta)."""
     left = k_orbit(F, alpha.image(beta.image(ROOT)).word)
     mid = k_orbit(F, alpha.image(ROOT).word)
     if len(left) + len(mid) > _CERTIFICATE_CAP:
@@ -219,19 +194,13 @@ def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
             n = total - m
             if m > budget or n > budget:
                 continue
+            alpha, beta = a.power(m), b.power(n)
             try:
-                ok, left, right = certify_disjoint(F, a, b, m, n)
+                ok, left, right = certify_disjoint(F, alpha, beta)
             except BudgetExhausted:
                 return None
             if ok:
-                return WitnessPair(
-                    alpha=a.power(m),
-                    beta=b.power(n),
-                    m=m,
-                    n=n,
-                    certificate=(left, right),
-                    separation_depth=r,
-                )
+                return WitnessPair(alpha, beta, m, n, (left, right), r)
     return None
 
 
@@ -300,36 +269,33 @@ class Verdict(NamedTuple):
 def main_theorem_report(F: LocalGroup, depth: int, budget: int = 6) -> Verdict:
     """Run all three views and check that they agree on a side.
 
-    A False ``consistent`` flag is a defect of this artifact (or an
-    insufficient depth), never of the underlying equivalence.
+    The boundary view is the pair proxy and the per-sphere orbit growth at
+    ``depth``, with the fixed ends of the default generating family as a
+    note; no view reads the transitivity flags of F.  A False ``consistent``
+    flag is a defect of this artifact (or an insufficient depth), never of
+    the underlying equivalence.
     """
     if depth < 3:
         raise ValueError("reports need depth >= 3")
-    stv = strong_transitivity_verdict(F, depth)
+    st_boundary = two_transitivity_on_ends_proxy(F, depth)
+    growth = orbit_count_growth(F, depth)
+    fixed_ends = fixed_end_check(F)
     hv = commutativity_report(F, depth)
     witness = find_witness(F, budget)
-    finiteness = "stabilized" if stv.growth.stabilized else "growing"
-    strong_side = [
-        stv.two_transitive_on_ends,
-        stv.growth.stabilized,
-        hv.commutative,
-        witness is None,
-    ]
+    strong_side = [st_boundary, growth.stabilized, hv.commutative, witness is None]
     consistent = all(strong_side) or not any(strong_side)
     notes = []
     if F.order() == 1:
-        notes.append(
-            "K is trivial: the orbit algebra is the full pair-kernel algebra"
-        )
-    if stv.fixed_ends:
+        notes.append("K is trivial: the orbit algebra is the full pair-kernel algebra")
+    if fixed_ends:
         notes.append("generating family fixes boundary points; proxies inapplicable")
     return Verdict(
         degree=F.degree,
         group_hash=F.hash_key(),
         depth=depth,
-        st_boundary=stv.two_transitive_on_ends,
-        orbit_finiteness=finiteness,
-        orbit_counts=stv.growth.counts,
+        st_boundary=st_boundary,
+        orbit_finiteness=growth.verdict,
+        orbit_counts=growth.counts,
         hecke=hv,
         witness=witness,
         consistent=consistent,

@@ -311,26 +311,26 @@ class GrowthReport(NamedTuple):
         return self.verdict == "stabilized"
 
 
-def _arm_classes(F: LocalGroup, n: int) -> list[int]:
-    """c[a] for each color a: the classes of depth-n words starting with a
-    under the stabilizer of the vertex (a,) in K.  By the split rule c[a] is
-    1 at n = 1 and the sum of c[b] one depth less over b in
-    ``_child_colors(F, a)``."""
+def _arm_classes(F: LocalGroup, n: int) -> list[list[int]]:
+    """For k = 1..n, c_k[a] for each color a: the classes of depth-k words
+    starting with a under the stabilizer of the vertex (a,) in K.  By the
+    split rule c_1[a] is 1 and c_k[a] is the sum of c_{k-1}[b] over b in
+    ``_child_colors(F, a)``, so one pass computes every depth."""
     children = [_child_colors(F, a) for a in range(F.degree)]
-    c = [1] * F.degree
+    arms = [[1] * F.degree]
     for _ in range(n - 1):
-        c = [sum(c[b] for b in kids) for kids in children]
-    return c
+        c = arms[-1]
+        arms.append([sum(c[b] for b in kids) for kids in children])
+    return arms
 
 
 def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
-    """K-orbits per sphere: sphere n >= 1 has the sum of c_a over a in
+    """K-orbits per sphere: sphere n >= 1 has the sum of c_n[a] over a in
     ``_child_colors(F, None)``; no table is built."""
     if radius < 3:
         raise ValueError("the growth window needs radius >= 3")
     roots = _child_colors(F, None)
-    arms = [_arm_classes(F, n) for n in range(1, radius + 1)]
-    counts = (1,) + tuple(sum(c[a] for a in roots) for c in arms)
+    counts = (1,) + tuple(sum(c[a] for a in roots) for c in _arm_classes(F, radius))
     window = counts[radius - 2 : radius + 1]
     if window[0] == window[1] == window[2]:
         verdict = "stabilized"
@@ -344,11 +344,11 @@ def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
 def _pair_orbit_count(F: LocalGroup, n: int) -> int:
     """Number of K-orbits on ordered pairs of depth-n words with distinct
     first letters.  Once the first letters (a, b) are fixed, each arm is
-    constrained by its own first image alone, so the orbits are the c_a * c_b
-    pairs of arm classes, summed over the least pair (a, b) of each F-orbit
-    on ordered pairs of distinct colors: a in ``_child_colors(F, None)`` and
-    b in ``_child_colors(F, a)``."""
-    c = _arm_classes(F, n)
+    constrained by its own first image alone, so the orbits are the
+    c_n[a] * c_n[b] pairs of arm classes, summed over the least pair (a, b)
+    of each F-orbit on ordered pairs of distinct colors: a in
+    ``_child_colors(F, None)`` and b in ``_child_colors(F, a)``."""
+    c = _arm_classes(F, n)[-1]
     return sum(c[a] * c[b] for a in _child_colors(F, None) for b in _child_colors(F, a))
 
 

@@ -33,6 +33,7 @@ added by a larger radius comes before it (``commutativity_report``).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
 from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
@@ -126,6 +127,13 @@ class StructureConstants:
                 f"{self.orbits[i].distance + self.orbits[j].distance} > {self.radius_budget}"
             )
         return self._products.get((i, j), {}).get(k, 0)
+
+    def row(self, i: int) -> list[dict[int, int]]:
+        """{k: N[i][j][k]} for each j with (i, j) in budget, in id order and
+        empty where every entry is 0; ids run by distance, so those j come
+        first."""
+        js = takewhile(lambda j: self.in_budget(i, j), range(len(self.orbits)))
+        return [self._products.get((i, j), {}) for j in js]
 
     def products_of(self, i: int, j: int) -> list[tuple[int, int]]:
         if not self.in_budget(i, j):

@@ -236,16 +236,13 @@ class TreeEnd(_Value):
 
     def __init__(self, prefix: Word, period: Word):
         pre = tuple(int(c) for c in prefix)
-        per = _primitive(tuple(int(c) for c in period))
+        per = tuple(int(c) for c in period)
         if not per:
             raise ValueError("period must be nonempty")
         if any(c < 0 for c in pre + per):
             raise ValueError("colors are non-negative integers")
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1:] + per[:-1]
-        word = pre + per + per[:1]
-        if not is_nonbacktracking(word) or (len(per) == 1):
+        pre, per = _end(pre, per)._key()
+        if not is_nonbacktracking(pre + per + per[:1]) or len(per) == 1:
             raise ValueError(f"not a non-backtracking end: prefix={pre} period={per}")
         object.__setattr__(self, "prefix", pre)
         object.__setattr__(self, "period", per)
@@ -284,6 +281,31 @@ class TreeEnd(_Value):
         pre = " ".join(map(str, self.prefix))
         per = " ".join(map(str, self.period))
         return f"TreeEnd({pre} | {per})"
+
+
+def _end(prefix: Word, period: Word) -> TreeEnd:
+    """The end of a descriptor known to be valid, normalized but unchecked:
+    the public constructor converts and re-validates the whole prefix.
+
+    The period is made primitive, then the k trailing prefix letters that
+    repeat the periodic tail backwards are absorbed by rotating it k places.
+    """
+    per = _primitive(period)
+    n, k = len(per), 0
+    while k < len(prefix) and prefix[-1 - k] == per[-1 - k % n]:
+        k += 1
+    r = k % n
+    e = object.__new__(TreeEnd)
+    object.__setattr__(e, "prefix", prefix[: len(prefix) - k])
+    object.__setattr__(e, "period", per[n - r :] + per[: n - r])
+    return e
+
+
+def least_tail(avoid: int, degree: int) -> Word:
+    """The least 2-periodic tail (a, b) that can follow the color ``avoid``:
+    a is the least color other than ``avoid`` and b the least other than a."""
+    a = min(x for x in range(degree) if x != avoid)
+    return a, min(x for x in range(degree) if x != a)
 
 
 class TreeApartment(_Value):
@@ -512,7 +534,7 @@ class Portrait:
                 key = ((k - pre_len) % per_len, state, u[-1] if u else -1)
                 hit = seen.get(key)
                 if hit is not None:
-                    return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
+                    return _end(tuple(u[:hit]), tuple(u[hit:]))
                 seen[key] = len(u)
             e, state = step(state, c)
             if u and u[-1] == e:
@@ -687,7 +709,7 @@ def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
         key = (state, chunk)
         hit = seen.get(key)
         if hit is not None:
-            return TreeEnd(tuple(u[:hit]), tuple(u[hit:]))
+            return _end(tuple(u[:hit]), tuple(u[hit:]))
         seen[key] = len(u)
         letters = []
         for c in chunk:
@@ -843,13 +865,6 @@ def busemann_beta(a: TreeApartment, c: TreeEnd, g: Portrait) -> int:
     raise RuntimeError("Busemann value did not stabilize at two depths")
 
 
-def _opposite_ray_end(c: TreeEnd, degree: int) -> TreeEnd:
-    first = c.letter(0)
-    a = min(x for x in range(degree) if x != first)
-    b = min(x for x in range(degree) if x != a)
-    return TreeEnd((), (a, b))
-
-
 def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
     """Membership in the point-fixing part of the end stabilizer.
 
@@ -858,7 +873,7 @@ def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
     vertex certifies it.
     """
     _certify_fixes_end(g, c)
-    a = TreeApartment(_opposite_ray_end(c, g.degree), c)
+    a = TreeApartment(TreeEnd((), least_tail(c.letter(0), g.degree)), c)
     if busemann_beta(a, c, g) != 0:
         return False
     for k in range(search_radius + 1):

@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, flags, exit codes, no files written."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -419,15 +418,18 @@ class TestFindSR:
 
 
 class CountingStdout:
-    """A stdout stand-in that keeps only the number of writes and characters."""
+    """A stdout stand-in that keeps only the number of writes, the
+    characters and the longest write."""
 
     def __init__(self):
         self.writes = 0
         self.chars = 0
+        self.longest = 0
 
     def write(self, text):
         self.writes += 1
         self.chars += len(text)
+        self.longest = max(self.longest, len(text))
 
 
 def synthetic_report(n_rows):
@@ -442,7 +444,8 @@ def synthetic_report(n_rows):
 
 
 class TestEmit:
-    """Reports go out in batches of WRITE_BATCH pieces, as json.dumps would print them."""
+    """Reports go out in writes of WRITE_BATCH characters and up, as
+    json.dumps would print them."""
 
     @pytest.mark.parametrize(
         "doc",
@@ -466,12 +469,11 @@ class TestEmit:
 
     def test_json_writes_are_batched(self, monkeypatch, big):
         doc, text_length = big
-        chunks = sum(1 for _ in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)) + 1
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
         cli.emit_json(doc)
         assert out.chars == text_length
-        assert out.writes <= math.ceil(chunks / cli.WRITE_BATCH) + 1
+        assert out.writes <= text_length // cli.WRITE_BATCH + 1
 
     def test_json_peak_memory_below_the_text(self, monkeypatch, big):
         doc, text_length = big
@@ -494,7 +496,22 @@ class TestEmit:
             monkeypatch.setattr(sys, "stdout", out)
             cli.write_pieces(table(fields, rows))
             assert out.chars == len("".join(table(fields, rows)))
-            assert out.writes <= math.ceil((len(rows) + 2) / cli.WRITE_BATCH) + 1
+            assert out.writes <= out.chars // cli.WRITE_BATCH + 1
+
+    def test_write_memory_is_bounded_by_size(self, monkeypatch):
+        """Wide pieces fill a write by their characters, not their count:
+        4,096 pieces of 1,000 characters never sit joined in memory."""
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            cli.write_pieces("x" * 1000 for _ in range(4096))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.chars == 4096 * 1000
+        assert out.longest < cli.WRITE_BATCH + 1000
+        assert peak < 4 * cli.WRITE_BATCH
 
 
 class TestErrors:

@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import make_c3, make_s3, make_s4, make_trivial, subgroups_of_symmetric
+from building_forge import gelfand
 from building_forge.gelfand import (
     certify_disjoint,
     evaluate_noncommutativity,
@@ -10,12 +11,18 @@ from building_forge.gelfand import (
     find_witness,
     main_theorem_report,
     separation_end,
-    strong_transitivity_verdict,
     WitnessPair,
 )
-from building_forge.group import k_orbit
+from building_forge.group import (
+    LocalGroup,
+    fixed_end_check,
+    k_orbit,
+    orbit_count_growth,
+    two_transitivity_on_ends_proxy,
+)
 from building_forge.hecke import commutativity_report, intersection_numbers
 from building_forge.tree import (
+    TablePortrait,
     classify_isometry,
     default_search_radius,
     identity_portrait,
@@ -29,23 +36,22 @@ TRIV = make_trivial()
 
 
 class TestStrongTransitivityVerdict:
+    """The boundary views that the report calls, at depth 3."""
+
     def test_s3(self):
-        rep = strong_transitivity_verdict(S3, 3)
-        assert rep.two_transitive_on_ends
-        assert rep.growth.stabilized
-        assert rep.fixed_ends == ()
+        assert two_transitivity_on_ends_proxy(S3, 3)
+        assert orbit_count_growth(S3, 3).stabilized
+        assert fixed_end_check(S3) == set()
 
     def test_c3(self):
-        rep = strong_transitivity_verdict(C3, 3)
-        assert not rep.two_transitive_on_ends
-        assert rep.growth.verdict == "growing"
-        assert rep.fixed_ends == ()
+        assert not two_transitivity_on_ends_proxy(C3, 3)
+        assert orbit_count_growth(C3, 3).verdict == "growing"
+        assert fixed_end_check(C3) == set()
 
     def test_trivial(self):
-        rep = strong_transitivity_verdict(TRIV, 3)
-        assert not rep.two_transitive_on_ends
-        assert rep.growth.verdict == "growing"
-        assert rep.fixed_ends == ()
+        assert not two_transitivity_on_ends_proxy(TRIV, 3)
+        assert orbit_count_growth(TRIV, 3).verdict == "growing"
+        assert fixed_end_check(TRIV) == set()
 
 
 class TestStronglyRegularCertificate:
@@ -109,8 +115,28 @@ class TestWitness:
         w = find_witness(C3, 6)
         a = parallel_transport(w.alpha_image if w.m == 1 else w.alpha_image[: len(w.alpha_image) // w.m], 3)
         b = parallel_transport(w.beta_image if w.n == 1 else w.beta_image[: len(w.beta_image) // w.n], 3)
-        ok, _, _ = certify_disjoint(C3, a, b, w.m + 1, w.n + 1)
+        ok, _, _ = certify_disjoint(C3, a.power(w.m + 1), b.power(w.n + 1))
         assert ok
+
+    def test_witness_holds_the_certified_pair(self, monkeypatch):
+        """Each tried pair of powers is built once, and the witness holds
+        the very elements that were certified."""
+        certified, powers = [], []
+        power = TablePortrait.power
+
+        def recording(F, alpha, beta):
+            certified.append((alpha, beta))
+            return certify_disjoint(F, alpha, beta)
+
+        def counted(self, n):
+            powers.append(n)
+            return power(self, n)
+
+        monkeypatch.setattr(gelfand, "certify_disjoint", recording)
+        monkeypatch.setattr(TablePortrait, "power", counted)
+        w = find_witness(C3, 6)
+        assert w.alpha is certified[-1][0] and w.beta is certified[-1][1]
+        assert len(powers) == 2 * len(certified)
 
 
 class TestEvaluate:
@@ -190,6 +216,16 @@ class TestMainTheoremReport:
             report = main_theorem_report(F, depth)
             assert report.consistent, (F, depth)
             assert report.st_boundary == F.two_transitive, (F, depth)
+
+    def test_no_view_reads_a_transitivity_flag(self):
+        """The report on every subgroup of S3 and S4 is unchanged when the
+        group has no ``transitive`` or ``two_transitive`` attribute."""
+        for F in subgroups_of_symmetric(3) + subgroups_of_symmetric(4):
+            bare = LocalGroup(F.degree, F.generators)
+            del bare.transitive, bare.two_transitive
+            for depth in (3, 4):
+                intact = main_theorem_report(F, depth)
+                assert main_theorem_report(bare, depth).to_dict() == intact.to_dict(), F
 
     def test_trivial_group_flagged(self):
         v = main_theorem_report(TRIV, 3)

@@ -506,3 +506,20 @@ class TestTransitionTable:
             calls.clear()
             orbit_table(F, 5)
             assert len(calls) <= F.degree + 1, F
+
+    @pytest.mark.parametrize("radius", [3, 6, 12])
+    def test_growth_splits_each_color_once(self, monkeypatch, radius):
+        """``orbit_count_growth`` reads every sphere off one pass of the arm
+        recurrence: one split per color and one at the base vertex."""
+        calls = []
+        child_colors = group._child_colors
+
+        def counted(F, last):
+            calls.append(last)
+            return child_colors(F, last)
+
+        monkeypatch.setattr(group, "_child_colors", counted)
+        for F in (make_trivial(3), C3, LocalGroup(5, [(1, 2, 3, 4, 0)]), S4):
+            calls.clear()
+            orbit_count_growth(F, radius)
+            assert len(calls) <= F.degree + 1, F

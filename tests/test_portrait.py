@@ -23,6 +23,7 @@ from building_forge.tree import (
     TablePortrait,
     TreeEnd,
     TreeVertex,
+    _end,
     ball_words,
     classify_isometry,
     constant_portrait,
@@ -32,6 +33,7 @@ from building_forge.tree import (
     parallel_transport,
     reduce_word,
     segment_through_apartment,
+    sphere_words,
     transport_between,
 )
 
@@ -309,6 +311,60 @@ class TestIncrementalWalk:
             return calls, letters
 
         assert validations(100) == validations(200)
+
+    def test_end_validations_do_not_grow_with_the_walk(self, monkeypatch):
+        def validations(n):
+            """Ends validated while iterating a transport n times on an end."""
+            a = parallel_transport((0, 1), 3)
+            cls = classify_isometry(a, default_search_radius(a))
+            xi = TreeEnd((), (0, 2))
+            calls = 0
+            validate = TreeEnd.__init__
+
+            def counting(self, prefix, period):
+                nonlocal calls
+                validate(self, prefix, period)
+                calls += 1
+
+            with monkeypatch.context() as m:
+                m.setattr(TreeEnd, "__init__", counting)
+                assert len(list(iterate_on_end(a, cls, xi, n))) == n + 1
+            return calls
+
+        assert validations(10) == validations(40)
+
+
+class TestUncheckedEnd:
+    """``_end`` normalizes a valid descriptor as the constructor does."""
+
+    @staticmethod
+    def assert_same(e, expected):
+        assert e == expected and hash(e) == hash(expected)
+        assert (e.prefix, e.period) == (expected.prefix, expected.period)
+
+    def test_every_short_descriptor(self):
+        """Non-primitive periods and prefixes that fold into the tail too."""
+        seen = 0
+        for per in (w for n in range(2, 5) for w in sphere_words(3, n)):
+            for pre in (w for n in range(5) for w in sphere_words(3, n)):
+                try:
+                    expected = TreeEnd(pre, per)
+                except ValueError:
+                    continue
+                self.assert_same(_end(pre, per), expected)
+                seen += 1
+        assert seen > 900
+
+    def test_enumerated_ends_and_walk_results(self):
+        rng = Random(59)
+        ends = enumerate_ends(3, 3, 3)
+        for end in ends:
+            self.assert_same(_end(end.prefix, end.period), end)
+        for recipe in walk_recipes(rng):
+            g = recipe(TablePortrait)
+            for end in ends:
+                img = g.image_of_end(end)
+                self.assert_same(img, TreeEnd(img.prefix, img.period))
 
 
 class TestForwardPasses:
