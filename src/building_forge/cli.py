@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: orbits, hecke, gelfand, dynamics, find-sr; each takes
---group, --format and only the flags it reads.  All reports carry the
-certification depth/radius they were computed at and go to stdout; no
+--group, --format and only the flags it reads.  Every depth-bounded report
+carries the depth or radius it was computed at.  Reports go to stdout; no
 subcommand writes a file.  Exit codes: 0 success (and consistent verdicts),
 1 inconsistent verdict, 2 input error (bad arguments are refused by the
 parser before any work), 3 budget/radius errors.
@@ -22,7 +22,6 @@ from .group import LocalGroup, ParseError
 from .perms import parse_perm
 from .tree import (
     BudgetExhausted,
-    InsufficientRadius,
     NotHyperbolic,
     OutOfBudget,
     ROOT,
@@ -297,8 +296,7 @@ def cmd_dynamics(args) -> int:
             f"automorphism {args.auto!r} is not in U(F): its local permutation "
             f"at the vertex {outside.word} is not in the group"
         )
-    radius = tree.default_search_radius(a)
-    cls = tree.classify_isometry(a, radius)
+    cls = tree.classify_isometry(a)
     ends = tree.iterate_on_end(a, cls, xi, args.nmax)
     overlaps = tree.segment_through_apartment(a, cls, ROOT, ROOT, args.nmax)
     plus = cls.axis.end_plus
@@ -312,11 +310,10 @@ def cmd_dynamics(args) -> int:
     if args.format == "json":
         emit_json(
             {
-                "format_version": 1,
+                "format_version": 2,
                 "command": "dynamics",
                 "degree": degree,
                 "translation_length": cls.length,
-                "certification_radius": radius,
                 "nmax": args.nmax,
                 "rows": Rows(_DYNAMICS_ROW_JSON, ((d, o, n) for n, d, o in rows)),
                 "note": "agreement_depth -1 means the iterate equals the attracting end",
@@ -415,7 +412,7 @@ def main(argv=None) -> int:
         loc = f" (line {exc.line}, column {exc.column})" if exc.line else ""
         print(f"error: {exc}{loc}", file=sys.stderr)
         return 2
-    except (BudgetExhausted, InsufficientRadius, OutOfBudget) as exc:
+    except (BudgetExhausted, OutOfBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotHyperbolic, ValueError, OSError) as exc:

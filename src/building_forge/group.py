@@ -390,7 +390,7 @@ def fixed_end_check(
     """The ends fixed by every member of the family, whose first member must
     be hyperbolic: it fixes exactly the two ends of its axis (Tits 1970)."""
     family = list(generators) if generators is not None else default_generating_family(F)
-    first = tree.classify_isometry(family[0], tree.default_search_radius(family[0]))
+    first = tree.classify_isometry(family[0])
     if not first.is_hyperbolic:
         raise NotHyperbolic("the first member of the family must be hyperbolic")
     ends = (first.axis.end_minus, first.axis.end_plus)

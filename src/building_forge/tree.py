@@ -62,9 +62,6 @@ class NotHyperbolic(ValueError):
 
 Word = tuple[int, ...]
 
-_END_WALK_CAP = 20000
-_AXIS_ITER_CAP = 4096
-
 
 # ---------------------------------------------------------------------------
 # words
@@ -508,44 +505,41 @@ class Portrait:
         return out
 
     # -- derived geometry ----------------------------------------------------
-    def displacement(self, v: TreeVertex) -> int:
-        return self.image(v).distance(v)
-
     def image_of_end(self, end: TreeEnd) -> TreeEnd:
         """Exact image of an eventually periodic end, in normal form.
 
-        Walks the ray to ``end`` one ``step`` at a time.  The image path is
-        a geodesic ray: after an initial rootward dip it extends by one
-        letter per step.  Once it extends, a repeat of (phase of the period,
-        state, last image letter) repeats every later step, so the letters
-        emitted between the two visits are the image end's period.
+        Walks the ray to ``end`` one ``step`` at a time.  The image of a ray
+        is a ray from the base image: its path dips rootward, then extends
+        by one letter per step and never backtracks again, so a walk that
+        does is refused at once.  Once it extends, a repeat of (phase of the
+        period, state, last image letter) repeats every later step, so the
+        letters emitted between the two visits are the image end's period;
+        states are finitely many, so the repeat comes.
         """
         pre_len = len(end.prefix)
         per_len = len(end.period)
         u = list(self.base_image.word)
-        cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
         step, state = self.step, self.start
-        ray = chain(end.prefix, cycle(end.period))
-        # seen maps a key to the image length when it was recorded; every
-        # dip clears seen, so a recorded image is a prefix of the current one
+        # seen maps a key to the image length when it was recorded; keys are
+        # recorded only while extending, so a recorded image is a prefix of
+        # the current one
         seen: dict = {}
-        for k, c in zip(range(cap), ray):
-            if k >= pre_len:
-                key = ((k - pre_len) % per_len, state, u[-1] if u else -1)
+        extending = False
+        for k, c in enumerate(chain(end.prefix, cycle(end.period))):
+            if extending and k >= pre_len:
+                key = ((k - pre_len) % per_len, state, u[-1])
                 hit = seen.get(key)
                 if hit is not None:
                     return _end(tuple(u[:hit]), tuple(u[hit:]))
                 seen[key] = len(u)
             e, state = step(state, c)
             if u and u[-1] == e:
-                # image path still dipping toward the root
+                if extending:
+                    raise RuntimeError("end image backtracks after extending: not an automorphism")
                 u.pop()
-                seen.clear()
             else:
                 u.append(e)
-        raise RuntimeError(
-            "end image did not stabilize; the portrait is probably not an automorphism"
-        )
+                extending = True
 
     def fixes_end(self, end: TreeEnd) -> bool:
         return self.image_of_end(end) == end
@@ -665,36 +659,18 @@ class IsometryClass(NamedTuple):
         return self.kind == "hyperbolic"
 
 
-def _descend_to_min_displacement(g: Portrait, cap: int) -> TreeVertex:
-    # displacement is convex on the tree, so steepest descent finds the
-    # global minimum; every strict step reduces the distance to the min set
-    v = ROOT
-    dv = g.displacement(v)
-    while dv > 0:
-        improved = None
-        for c in range(g.degree):
-            u = v.neighbor(c)
-            if len(u.word) > cap:
-                raise InsufficientRadius("min-displacement descent left the search ball")
-            du = g.displacement(u)
-            if du < dv:
-                improved = (u, du)
-                break
-        if improved is None:
-            break
-        v, dv = improved
-    return v
-
-
 def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
-    """lim g^n(start) for hyperbolic g with start on (or near) the axis.
+    """lim g^n(start) for hyperbolic g with start on the axis.
 
+    The iterates advance along the axis, so within len(start) + 1 steps one
+    lies past the projection of the base vertex, and its image extends it.
     Once g(u) extends u by a chunk, g(u + chunk) extends u + chunk by the
     colors g emits along the chunk from its state at u.  So (state, chunk)
-    fixes every later chunk, and its first repeat closes the period.
+    fixes every later chunk, and its first repeat closes the period; states
+    are finitely many, so the repeat comes.
     """
     v = start
-    for _ in range(64):
+    for _ in range(len(start.word) + 1):
         w = g.image(v)
         if len(w.word) > len(v.word) and w.word[: len(v.word)] == v.word:
             break
@@ -705,7 +681,7 @@ def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
     chunk = w.word[len(u):]
     state = g._walk(u)[1]
     seen: dict = {}
-    for _ in range(_AXIS_ITER_CAP):
+    while True:
         key = (state, chunk)
         hit = seen.get(key)
         if hit is not None:
@@ -719,39 +695,38 @@ def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
             raise RuntimeError("axis iteration stopped extending")
         u += chunk
         chunk = tuple(letters)
-    raise RuntimeError("axis end did not stabilize")
 
 
-def classify_isometry(g: Portrait, search_radius: int) -> IsometryClass:
-    """Elliptic / inversion / hyperbolic, with certificates.
+def classify_isometry(g: Portrait) -> IsometryClass:
+    """Elliptic / inversion / hyperbolic, with certificates, from g(x0) and
+    g(g(x0)) for the base vertex x0.
 
-    Finds the global minimum m of the displacement function by convex
-    descent from the base vertex.  m = 0 certifies a fixed vertex; m = 1
-    with g(g(v)) = v certifies an inverted edge; otherwise translation along
-    [v, g(v)] is certified by d(v, g^2(v)) = 2m, and the translation length
-    is cross-checked against max(0, d(x0, g x0) - 2 d(x0, axis)).
+    A hyperbolic g of length l has d(x0, g^k x0) = k*l + 2 d(x0, axis); any
+    other automorphism has d(x0, g^2 x0) <= d(x0, g x0) (Serre, *Trees*,
+    I.6.4).  So l = d(x0, g^2 x0) - d0, with d0 = d(x0, g x0), is positive
+    exactly when g is hyperbolic, and [x0, g x0] meets the axis after
+    (d0 - l) / 2 letters.  Otherwise the middle of [x0, g x0] is the fixed
+    vertex (d0 even) or the near end of the inverted edge (d0 odd).  One or
+    two more images check the certificate: g(v) = v, g(g(v)) = v, or g(v)
+    is v followed by l letters of [x0, g x0].
     """
-    d0 = g.displacement(ROOT)
-    if search_radius < d0 + 2:
-        raise InsufficientRadius(
-            f"search radius {search_radius} below displacement bound {d0 + 2}"
-        )
-    v = _descend_to_min_displacement(g, search_radius)
-    m = g.displacement(v)
-    if m == 0:
-        return IsometryClass(kind="elliptic", length=0, fixed_vertex=v)
+    gx = g.image(ROOT)
+    d0 = len(gx.word)
+    length = len(g.image(gx).word) - d0
+    if length > 0:
+        v = _vertex(gx.word[: (d0 - length) // 2])
+        if g.image(v).word != gx.word[: len(v.word) + length]:
+            raise RuntimeError("the axis vertex is not translated: not an automorphism")
+        return _hyperbolic(g, v, length)
+    v = _vertex(gx.word[: d0 // 2])
     gv = g.image(v)
-    ggv = g.image(gv)
-    if m == 1 and ggv == v:
-        return IsometryClass(kind="inversion", length=0, fixed_edge=(v, gv))
-    if v.distance(ggv) != 2 * m:
-        raise InsufficientRadius("could not certify a translation axis in the ball")
-    expected = max(0, d0 - 2 * len(v.word))
-    if expected != m:
-        raise RuntimeError(
-            "translation length cross-check failed; portrait is not an automorphism"
-        )
-    return _hyperbolic(g, v, m)
+    if d0 % 2 == 0:
+        if gv != v:
+            raise RuntimeError("the middle vertex is not fixed: not an automorphism")
+        return IsometryClass(kind="elliptic", length=0, fixed_vertex=v)
+    if gv.word != gx.word[: len(v.word) + 1] or g.image(gv) != v:
+        raise RuntimeError("the middle edge is not inverted: not an automorphism")
+    return IsometryClass(kind="inversion", length=0, fixed_edge=(v, gv))
 
 
 def _hyperbolic(g: Portrait, v: TreeVertex, length: int) -> IsometryClass:
@@ -766,17 +741,13 @@ def _hyperbolic(g: Portrait, v: TreeVertex, length: int) -> IsometryClass:
     )
 
 
-def default_search_radius(g: Portrait) -> int:
-    return g.displacement(ROOT) + 4
-
-
-def is_strongly_regular(g: Portrait, search_radius: int) -> bool:
+def is_strongly_regular(g: Portrait) -> bool:
     """On a tree: strongly regular = hyperbolic.
 
     The two ends of the axis are chambers of the boundary, automatically
     opposite and interior (chambers of a rank-one boundary are points).
     """
-    return classify_isometry(g, search_radius).is_hyperbolic
+    return classify_isometry(g).is_hyperbolic
 
 
 def hyperbolic_from_segment(

@@ -16,7 +16,6 @@ from building_forge.group import LocalGroup, OrbitTable, k_orbit
 from building_forge.hecke import commutativity_of
 from building_forge.perms import compose, identity, invert, transposition
 from building_forge.tree import (
-    _END_WALK_CAP,
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
@@ -28,10 +27,13 @@ from building_forge.tree import (
     Word,
     ball_words,
     classify_isometry,
-    default_search_radius,
     reduce_word,
     sphere_words,
 )
+
+# The oracle end walk's step budget, past the prefix, period and base image
+# terms: the library walk needs none, as it refuses a backtracking image.
+END_WALK_CAP = 20000
 
 
 def make_c3() -> LocalGroup:
@@ -159,8 +161,7 @@ def dynamics_report(a: Portrait, xi: TreeEnd, nmax: int, fmt: str) -> str:
     standard library: the reference the CLI's row writer must match.  The
     iterates are repeated end images, and each overlap is ``axis_overlap``
     for its one n."""
-    radius = default_search_radius(a)
-    cls = classify_isometry(a, radius)
+    cls = classify_isometry(a)
     plus = cls.axis.end_plus
     rows, end = [], xi
     for n in range(1, nmax + 1):
@@ -170,11 +171,10 @@ def dynamics_report(a: Portrait, xi: TreeEnd, nmax: int, fmt: str) -> str:
     fields = ["n", "agreement_depth", "axis_overlap"]
     if fmt == "json":
         doc = {
-            "format_version": 1,
+            "format_version": 2,
             "command": "dynamics",
             "degree": a.degree,
             "translation_length": cls.length,
-            "certification_radius": radius,
             "nmax": nmax,
             "rows": rows,
             "note": "agreement_depth -1 means the iterate equals the attracting end",
@@ -409,7 +409,7 @@ def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
 def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:
     """Length of the geodesic [x0, a^n(x)] intersected with the axis of a,
     from scratch for the one n: classify a, apply it n times, project."""
-    cls = classify_isometry(a, default_search_radius(a))
+    cls = classify_isometry(a)
     if not cls.is_hyperbolic:
         raise NotHyperbolic("the automorphism must be hyperbolic")
     w = x
@@ -425,7 +425,7 @@ def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, TreeVertex]:
     best = None
     for w in ball_words(g.degree, radius):
         v = TreeVertex(w)
-        d = g.displacement(v)
+        d = g.image(v).distance(v)
         if best is None or d < best[0]:
             best = (d, v)
     return best
@@ -455,7 +455,7 @@ def prefix_memo_image_of_end(g, end: TreeEnd, abort_if_not: TreeEnd | None = Non
     seen: dict = {}
     predicted = None
     extended_once = False
-    cap = _END_WALK_CAP + 40 * (pre_len + per_len + len(u))
+    cap = END_WALK_CAP + 40 * (pre_len + per_len + len(u))
     for k in range(cap):
         c = end.letter(k)
         sig = g.sigma(v)

@@ -38,7 +38,6 @@ from building_forge.tree import (
     busemann_beta,
     classify_isometry,
     constant_portrait,
-    default_search_radius,
     hyperbolic_from_segment,
     identity_portrait,
     in_Gc0,
@@ -166,7 +165,7 @@ def test_acceptance_04_strongly_regular_existence():
         budget = 2 * distinct + 2
         labels, transporter = line_pigeonhole_oracles(F, line, window=budget + 2)
         g, _ = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
-        cls = classify_isometry(g, default_search_radius(g))
+        cls = classify_isometry(g)
         assert cls.is_hyperbolic
         t0 = line.coordinate_of(cls.axis_vertex)
         seg = [line.vertex_at(t0 + i) for i in range(cls.length + 3)]
@@ -194,7 +193,7 @@ def test_acceptance_05_dynamics_of_iterated_ends():
     checked = 0
     for idx in range(10):
         a, ell = random_bounded_hyperbolic(rng)
-        cls = classify_isometry(a, default_search_radius(a))
+        cls = classify_isometry(a)
         eta_plus, eta_minus = cls.axis.end_plus, cls.axis.end_minus
         xi = sample_ends[idx]
         if xi in (eta_plus, eta_minus):
@@ -231,7 +230,7 @@ def test_acceptance_06_long_subsegments_in_the_axis():
     test_set = [TreeVertex(w) for w in rng.sample(pool, 20)]
     max_depth = max(len(v.word) for v in test_set)
     bound = T + -(-T // ell) + max_depth
-    cls = classify_isometry(a, default_search_radius(a))
+    cls = classify_isometry(a)
     overlaps = {
         x: [segment_through_apartment(a, cls, ROOT, x, n)[n] for n in range(bound + 6)]
         for x in test_set

@@ -22,7 +22,6 @@ from building_forge.tree import (
     busemann_beta,
     classify_isometry,
     constant_portrait,
-    default_search_radius,
     identity_portrait,
     in_Gc0,
     iterate_on_end,
@@ -149,7 +148,7 @@ class TestPointFixingPart:
 
 
 def classified(g):
-    return classify_isometry(g, default_search_radius(g))
+    return classify_isometry(g)
 
 
 class TestIterateOnEnd:
@@ -181,7 +180,7 @@ class TestIterateOnEnd:
         rng = Random(47)
         for _ in range(6):
             g, ell = random_hyperbolic(rng, 3)
-            cls = classify_isometry(g, default_search_radius(g))
+            cls = classify_isometry(g)
             eta_plus, eta_minus = cls.axis.end_plus, cls.axis.end_minus
             xi = TreeEnd((), (0, 2))
             if xi in (eta_plus, eta_minus):
@@ -316,7 +315,7 @@ class TestPigeonhole:
             return step.power(gap)
 
         g, _ = pigeonhole_find_hyperbolic(line, lambda v: 0, transporter, budget=4)
-        assert classify_isometry(g, default_search_radius(g)).length == 1
+        assert classify_isometry(g).length == 1
 
     def test_periodic_labels_give_multiples(self):
         line, step = self.line_with_unit_translation()
@@ -327,7 +326,7 @@ class TestPigeonhole:
 
         labels = lambda v: line.coordinate_of(v) % 3
         g, _ = pigeonhole_find_hyperbolic(line, labels, transporter, budget=8)
-        assert classify_isometry(g, default_search_radius(g)).length % 3 == 0
+        assert classify_isometry(g).length % 3 == 0
 
     def test_budget_exhausted_on_injective_labels(self):
         line, step = self.line_with_unit_translation()
@@ -344,7 +343,7 @@ class TestPigeonhole:
 
         labels = lambda v: len(v.word) % 2
         g, _ = pigeonhole_find_hyperbolic(ray, labels, transporter, budget=6)
-        assert classify_isometry(g, default_search_radius(g)).length == 2
+        assert classify_isometry(g).length == 2
 
     def test_certificate_is_the_classification(self):
         line, step = self.line_with_unit_translation()
@@ -355,5 +354,5 @@ class TestPigeonhole:
 
         for labels, budget in ((lambda v: 0, 4), (lambda v: line.coordinate_of(v) % 3, 8)):
             g, cert = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
-            cls = classify_isometry(g, default_search_radius(g))
+            cls = classify_isometry(g)
             assert (cert.axis, cert.length) == (cls.axis, cls.length)

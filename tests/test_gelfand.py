@@ -24,7 +24,6 @@ from building_forge.hecke import commutativity_report, intersection_numbers
 from building_forge.tree import (
     TablePortrait,
     classify_isometry,
-    default_search_radius,
     identity_portrait,
     parallel_transport,
 )
@@ -60,14 +59,14 @@ class TestStronglyRegularCertificate:
             F = make_trivial(degree)
             for budget in range(2, 9):
                 g, cert = find_strongly_regular(F, budget)
-                cls = classify_isometry(g, default_search_radius(g))
+                cls = classify_isometry(g)
                 assert (cert.axis, cert.length) == (cls.axis, cls.length)
 
 
 class TestSeparation:
     def test_c3_separation_depth(self):
         a, _ = find_strongly_regular(C3, 6)
-        axis = classify_isometry(a, default_search_radius(a)).axis
+        axis = classify_isometry(a).axis
         end, r = separation_end(C3, axis)
         assert r == 3
         prefix = end.word_prefix(r)
@@ -78,7 +77,7 @@ class TestSeparation:
 
     def test_trivial_separation_is_immediate(self):
         a, _ = find_strongly_regular(TRIV, 6)
-        axis = classify_isometry(a, default_search_radius(a)).axis
+        axis = classify_isometry(a).axis
         end, r = separation_end(TRIV, axis)
         assert r == 1
 
@@ -90,7 +89,7 @@ class TestWitness:
         left, right = w.certificate
         assert left and right and left.isdisjoint(right)
         for g in (w.alpha, w.beta):
-            assert classify_isometry(g, default_search_radius(g)).is_hyperbolic
+            assert classify_isometry(g).is_hyperbolic
 
     def test_s3_has_no_witness_at_any_budget(self):
         for budget in (0, 2, 6, 10):

@@ -45,7 +45,6 @@ from building_forge.tree import (
     ball_words,
     classify_isometry,
     constant_portrait,
-    default_search_radius,
     identity_portrait,
     parallel_transport,
     sphere_words,
@@ -377,7 +376,7 @@ class TestFixedEnds:
         candidates = enumerate_ends(3, max_prefix=6, max_period=3)
         for _ in range(6):
             g, _ = random_hyperbolic(rng, 3)
-            axis = classify_isometry(g, default_search_radius(g)).axis
+            axis = classify_isometry(g).axis
             fixed = fixed_end_check(S3, generators=[g])
             assert fixed == {axis.end_minus, axis.end_plus}
             assert {xi for xi in candidates if g.fixes_end(xi)} <= fixed

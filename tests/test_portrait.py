@@ -20,6 +20,7 @@ from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
+    Portrait,
     TablePortrait,
     TreeEnd,
     TreeVertex,
@@ -27,7 +28,6 @@ from building_forge.tree import (
     ball_words,
     classify_isometry,
     constant_portrait,
-    default_search_radius,
     identity_portrait,
     iterate_on_end,
     parallel_transport,
@@ -213,6 +213,21 @@ class TestEndImages:
         img = g.image_of_end(TreeEnd((), (0, 1)))
         assert img == TreeEnd((), (1, 2))
 
+    def test_backtracking_image_refused_at_once(self):
+        """A machine emitting color 0 on every edge maps the ray (0 1)^inf
+        to a path that extends, then turns back: no automorphism does that,
+        and the walk refuses it on that step."""
+        steps = 0
+
+        def step(state, c):
+            nonlocal steps
+            steps += 1
+            return 0, state
+
+        with pytest.raises(RuntimeError, match="not an automorphism"):
+            Portrait(3, ROOT, 0, step).image_of_end(TreeEnd((), (0, 1)))
+        assert steps <= 2
+
 
 def walk_recipes(rng):
     """Hyperbolic elements, sparse and constant depth-3 tables, and their
@@ -306,7 +321,7 @@ class TestIncrementalWalk:
 
             with monkeypatch.context() as m:
                 m.setattr(TreeVertex, "__init__", counting)
-                cls = classify_isometry(a, default_search_radius(a))
+                cls = classify_isometry(a)
                 list(iterate_on_end(a, cls, TreeEnd((), (0, 2)), 3))
             return calls, letters
 
@@ -316,7 +331,7 @@ class TestIncrementalWalk:
         def validations(n):
             """Ends validated while iterating a transport n times on an end."""
             a = parallel_transport((0, 1), 3)
-            cls = classify_isometry(a, default_search_radius(a))
+            cls = classify_isometry(a)
             xi = TreeEnd((), (0, 2))
             calls = 0
             validate = TreeEnd.__init__
@@ -393,7 +408,7 @@ class TestForwardPasses:
             tracemalloc.start()
             try:
                 a = parallel_transport((0, 1) * k, 3)
-                cls = classify_isometry(a, default_search_radius(a))
+                cls = classify_isometry(a)
                 list(iterate_on_end(a, cls, TreeEnd((), (0, 2)), 3))
                 segment_through_apartment(a, cls, ROOT, ROOT, 3)
                 return tracemalloc.get_traced_memory()[1]
