@@ -15,19 +15,15 @@ import json
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import group, tree
+from . import group
 from .group import LocalGroup, ParseError
 from .perms import parse_perm
-from .tree import (
-    BudgetExhausted,
-    NotHyperbolic,
-    OutOfBudget,
-    ROOT,
-    TreeEnd,
-    TreeVertex,
-)
+from .words import BudgetExhausted, OutOfBudget
+
+if TYPE_CHECKING:
+    from .tree import Portrait, TreeEnd
 
 
 def load_group(path: str) -> LocalGroup:
@@ -245,7 +241,7 @@ def parse_word(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
+def parse_automorphism(spec: str, degree: int) -> Portrait:
     """Command-line automorphism forms.
 
     ``transport:<letters>`` is the color-preserving translation by the given
@@ -253,6 +249,8 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
     ``base_image`` (word), ``exceptions`` (object: word -> one-line
     permutation) and optional ``extension`` ("sparse" or "constant").
     """
+    from . import tree  # only dynamics handles a portrait
+
     try:
         if spec.startswith("transport:"):
             return tree.parallel_transport(parse_word(spec[len("transport:"):]), degree)
@@ -266,13 +264,15 @@ def parse_automorphism(spec: str, degree: int) -> tree.Portrait:
         if not isinstance(exceptions, dict) or {type(v) for v in exceptions.values()} - {str}:
             raise ValueError("exceptions must map words to permutation strings")
         table = {parse_word(k): parse_perm(v, degree) for k, v in exceptions.items()}
-        return tree.TablePortrait(TreeVertex(parse_word(base)), table, degree, extension)
+        return tree.TablePortrait(tree.TreeVertex(parse_word(base)), table, degree, extension)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ParseError(f"bad automorphism spec {spec!r}: {exc}")
 
 
 def parse_end(spec: str, degree: int) -> TreeEnd:
     """Ends are written "<prefix>:<period>" with comma/space separated colors."""
+    from .tree import TreeEnd
+
     if ":" not in spec:
         raise ParseError(f"bad end spec {spec!r}: expected 'prefix:period'")
     pre, per = spec.split(":", 1)
@@ -286,6 +286,8 @@ def parse_end(spec: str, degree: int) -> TreeEnd:
 
 
 def cmd_dynamics(args) -> int:
+    from . import tree
+
     F = load_group(args.group)
     degree = F.degree
     a = parse_automorphism(args.auto, degree)
@@ -298,7 +300,7 @@ def cmd_dynamics(args) -> int:
         )
     cls = tree.classify_isometry(a)
     ends = tree.iterate_on_end(a, cls, xi, args.nmax)
-    overlaps = tree.segment_through_apartment(a, cls, ROOT, ROOT, args.nmax)
+    overlaps = tree.segment_through_apartment(a, cls, tree.ROOT, tree.ROOT, args.nmax)
     plus = cls.axis.end_plus
     # one (n, agreement_depth, axis_overlap) row per iterate, none for m = 0
     rows = (
@@ -415,7 +417,7 @@ def main(argv=None) -> int:
     except (BudgetExhausted, OutOfBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NotHyperbolic, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,20 +34,18 @@ from .group import (
 from .hecke import HeckeVerdict, StructureConstants, commutativity_report
 from .tree import (
     ROOT,
-    BudgetExhausted,
     IsometryClass,
     Portrait,
     TreeApartment,
     TreeEnd,
     TreeVertex,
-    Word,
     least_tail,
     parallel_transport,
     pigeonhole_find_hyperbolic,
-    sphere_words,
     standard_apartment,
     transport_between,
 )
+from .words import BudgetExhausted, Word, sphere_words
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +159,15 @@ def certify_disjoint(
     return left.isdisjoint(right), frozenset(left), frozenset(right)
 
 
-def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
+def find_witness(
+    F: LocalGroup, budget: int, strong: bool | None = None
+) -> WitnessPair | None:
     """Search for a noncommutativity witness; None when there is none.
 
     Short-circuits to None on the strongly transitive side (no witness can
-    exist there), as certified by the depth-3 boundary proxy.  Otherwise
+    exist there), as certified by the boundary proxy: ``strong`` is its
+    answer when the caller has it already (it reads the same at every depth
+    >= 2), else the proxy runs at depth 3.  Otherwise
     builds a hyperbolic element along one apartment, points a second one at
     an end outside the stabilizer shadow of the first axis boundary, and
     scans powers (m, n) in lexicographic (m+n, m) order for an exact
@@ -177,7 +179,9 @@ def find_witness(F: LocalGroup, budget: int) -> WitnessPair | None:
     """
     if budget < 1:
         return None
-    if two_transitivity_on_ends_proxy(F, 3):
+    if strong is None:
+        strong = two_transitivity_on_ends_proxy(F, 3)
+    if strong:
         return None
     try:
         a, certificate = find_strongly_regular(F, budget)
@@ -281,7 +285,7 @@ def main_theorem_report(F: LocalGroup, depth: int, budget: int = 6) -> Verdict:
     growth = orbit_count_growth(F, depth)
     fixed_ends = fixed_end_check(F)
     hv = commutativity_report(F, depth)
-    witness = find_witness(F, budget)
+    witness = find_witness(F, budget, st_boundary)
     strong_side = [st_boundary, growth.stabilized, hv.commutative, witness is None]
     consistent = all(strong_side) or not any(strong_side)
     notes = []

@@ -13,31 +13,24 @@ This split rule, ``_child_colors``, grows the orbit tables and counts the
 orbits on spheres and on pairs of arms without a table.
 
 Orbit tables carry canonical (lexicographically smallest) representatives so
-that they are independent of traversal order.
+that they are independent of traversal order.  Orbits are sets of color
+words (``words``); only the functions that take or make a portrait or an
+end load ``tree``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
 from functools import cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from . import perms, tree
+from . import perms
 from .perms import Perm
-from .tree import (
-    ROOT,
-    BudgetExhausted,
-    NotHyperbolic,
-    Portrait,
-    TreeEnd,
-    TreeVertex,
-    Word,
-    constant_portrait,
-    parallel_transport,
-    sphere_words,
-)
+from .words import BudgetExhausted, Word
+
+if TYPE_CHECKING:
+    from .tree import Portrait, TreeEnd, TreeVertex
 
 
 class ParseError(ValueError):
@@ -94,6 +87,8 @@ class LocalGroup:
         visits each (state, last color) pair once meets the first offending
         vertex; it ends because a portrait has finitely many states.
         """
+        from .tree import TreeVertex  # loaded already by whoever built g
+
         queue = deque([((), g.start)])
         seen = set()
         while queue:
@@ -132,6 +127,8 @@ class LocalGroup:
         return self.posts(c, c2)[e]
 
     def hash_key(self) -> str:
+        import hashlib  # only a report that prints the hash loads it
+
         payload = f"{self.degree}|" + ";".join(
             perms.format_perm(p) for p in self.elements
         )
@@ -373,6 +370,8 @@ def default_generating_family(F: LocalGroup) -> list[Portrait]:
     Generates the U(F)-action to any modest depth; used as the default
     family for fixed-end checks (certification-depth statements only).
     """
+    from .tree import ROOT, constant_portrait, parallel_transport
+
     family: list[Portrait] = [
         parallel_transport((0, 1), F.degree),
         parallel_transport((1, 2), F.degree),
@@ -389,27 +388,12 @@ def fixed_end_check(
 ) -> set[TreeEnd]:
     """The ends fixed by every member of the family, whose first member must
     be hyperbolic: it fixes exactly the two ends of its axis (Tits 1970)."""
+    from . import tree
+
     family = list(generators) if generators is not None else default_generating_family(F)
     first = tree.classify_isometry(family[0])
     if not first.is_hyperbolic:
-        raise NotHyperbolic("the first member of the family must be hyperbolic")
+        raise tree.NotHyperbolic("the first member of the family must be hyperbolic")
     ends = (first.axis.end_minus, first.axis.end_plus)
     return {xi for xi in ends if all(g.fixes_end(xi) for g in family)}
 
-
-def enumerate_ends(degree: int, max_prefix: int, max_period: int) -> list[TreeEnd]:
-    """All normalized ends with bounded prefix and period lengths."""
-    out: set[TreeEnd] = set()
-    for per_len in range(2, max_period + 1):
-        for per in sphere_words(degree, per_len):
-            if per[0] == per[-1]:
-                continue
-            for pre_len in range(max_prefix + 1):
-                for pre in sphere_words(degree, pre_len):
-                    if pre and pre[-1] == per[0]:
-                        continue
-                    try:
-                        out.add(TreeEnd(pre, per))
-                    except ValueError:
-                        continue
-    return sorted(out, key=lambda e: (e.prefix, e.period))

@@ -21,8 +21,7 @@ the base sends z to reversed(p) + z[m:], a word already reduced: each row
 costs two class lookups per y and no word reduction.  Orbits with a second
 member are recounted there by the plain word transport, which re-verifies
 both the independence of the representative and the split.  Budgets are
-hard: a convolution either is computed exactly or refuses (OutOfBudget),
-never silently truncated.
+hard: an entry past the radius is refused (OutOfBudget), never read as 0.
 
 The commutativity verdict needs the whole tensor only on the commutative
 side: an asymmetric triple at radius r stays asymmetric at every larger
@@ -34,13 +33,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import takewhile
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .group import LocalGroup, OrbitClass, OrbitTable, orbit_table
-from .tree import OutOfBudget, Word, reduce_word
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .words import OutOfBudget, Word, reduce_word
 
 FORMAT_VERSION = 1
 
@@ -163,65 +159,6 @@ class StructureConstants:
 
 def intersection_numbers(F: LocalGroup, radius: int) -> StructureConstants:
     return StructureConstants(F, radius)
-
-
-class KernelFunction(NamedTuple):
-    """A finitely supported kernel: exact rational coefficients per orbit.
-
-    Kernels are equal when their coefficients are; ``fractions`` is imported
-    on first use, since no subcommand builds a kernel.
-    """
-
-    coefficients: tuple[tuple[int, Fraction], ...]
-    support_radius: int
-
-    @classmethod
-    def from_dict(cls, coeffs: dict[int, Fraction], sc: StructureConstants):
-        from fractions import Fraction
-
-        clean = {i: Fraction(c) for i, c in coeffs.items() if c}
-        radius = max((sc.distance(i) for i in clean), default=0)
-        return cls(tuple(sorted(clean.items())), radius)
-
-    @classmethod
-    def unit(cls, sc: StructureConstants):
-        return cls.from_dict({0: 1}, sc)
-
-    @classmethod
-    def indicator(cls, sc: StructureConstants, orbit_id: int):
-        return cls.from_dict({orbit_id: 1}, sc)
-
-    def coefficient(self, orbit_id: int) -> Fraction:
-        for i, c in self.coefficients:
-            if i == orbit_id:
-                return c
-        from fractions import Fraction
-
-        return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KernelFunction) and self.coefficients == other.coefficients
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-
-def convolve(phi: KernelFunction, psi: KernelFunction, sc: StructureConstants) -> KernelFunction:
-    """(phi * psi)(k) = sum_ij phi(i) psi(j) N[i][j][k]; exact or refused."""
-    if phi.support_radius + psi.support_radius > sc.radius_budget:
-        raise OutOfBudget(
-            f"support radii {phi.support_radius}+{psi.support_radius} exceed "
-            f"budget {sc.radius_budget}"
-        )
-    out: dict[int, Fraction] = {}
-    for i, ci in phi.coefficients:
-        for j, cj in psi.coefficients:
-            for k, n in sc.products_of(i, j):
-                out[k] = out.get(k, 0) + ci * cj * n
-    return KernelFunction.from_dict(out, sc)
 
 
 class HeckeVerdict(NamedTuple):

@@ -26,13 +26,6 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def transposition(degree: int, i: int, j: int) -> Perm:
     out = list(range(degree))
     out[i], out[j] = j, i

@@ -1,9 +1,10 @@
 """The (q+1)-regular tree with a legal edge coloring.
 
-Vertices are non-backtracking words over the colors {0, ..., q}, rooted at a
-fixed base vertex (the empty word).  The edge between a word w and its
-extension w + (c,) carries color c; consequently the q+1 edges at any vertex
-carry distinct colors, which is exactly a legal coloring.
+Vertices are non-backtracking words over the colors {0, ..., q} (see
+``words``), rooted at a fixed base vertex (the empty word).  The edge
+between a word w and its extension w + (c,) carries color c; consequently
+the q+1 edges at any vertex carry distinct colors, which is exactly a legal
+coloring.
 
 Ends are eventually periodic infinite words, kept in a normal form (shortest
 prefix, primitive period).  An apartment is the bi-infinite geodesic spanned
@@ -28,10 +29,14 @@ from math import lcm
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .perms import Perm, identity, transposition
-
-
-class InsufficientRadius(RuntimeError):
-    """A search radius too small to certify a verdict (never a wrong answer)."""
+from .words import (
+    BudgetExhausted,
+    Word,
+    is_nonbacktracking,
+    lcp_len,
+    reduce_word,
+    word_distance,
+)
 
 
 class NotInStabilizer(ValueError):
@@ -46,77 +51,8 @@ class RepellingFixedEnd(ValueError):
     """Iteration requested at the repelling fixed end."""
 
 
-class BudgetExhausted(RuntimeError):
-    """A search or table over its budget: a pigeonhole walk that found no
-    repeat, or a ball too large to build."""
-
-
-class OutOfBudget(ValueError):
-    """A Hecke entry or convolution beyond the radius the tensor was
-    computed to; kept here so that the CLI maps it without loading hecke."""
-
-
 class NotHyperbolic(ValueError):
     """A hyperbolic automorphism was required."""
-
-
-Word = tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# words
-
-
-def is_nonbacktracking(word: Sequence[int]) -> bool:
-    return all(a != b for a, b in zip(word, word[1:]))
-
-
-def reduce_word(a: Word, b: Word) -> Word:
-    """Concatenate two words as paths, cancelling backtracks at the seam."""
-    out = list(a)
-    for c in b:
-        if out and out[-1] == c:
-            out.pop()
-        else:
-            out.append(c)
-    return tuple(out)
-
-
-def lcp_len(a: Sequence[int], b: Sequence[int]) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def word_distance(a: Word, b: Word) -> int:
-    k = lcp_len(a, b)
-    return len(a) + len(b) - 2 * k
-
-
-def neighbor_word(w: Word, c: int) -> Word:
-    return w[:-1] if w and w[-1] == c else w + (c,)
-
-
-def sphere_words(degree: int, n: int) -> Iterator[Word]:
-    """Non-backtracking words of length n over {0, ..., degree-1}, lex order."""
-
-    def extend(w: Word) -> Iterator[Word]:
-        if len(w) == n:
-            yield w
-            return
-        for c in range(degree):
-            if not w or c != w[-1]:
-                yield from extend(w + (c,))
-
-    yield from extend(())
-
-
-def ball_words(degree: int, radius: int) -> Iterator[Word]:
-    for n in range(radius + 1):
-        yield from sphere_words(degree, n)
 
 
 class _Value:
@@ -180,7 +116,8 @@ class TreeVertex(_Value):
     def neighbor(self, c: int) -> "TreeVertex":
         if c < 0:
             raise ValueError("colors are non-negative integers")
-        return _vertex(neighbor_word(self.word, c))
+        w = self.word
+        return _vertex(w[:-1] if w and w[-1] == c else w + (c,))
 
     def distance(self, other: "TreeVertex") -> int:
         return word_distance(self.word, other.word)
@@ -199,14 +136,6 @@ def _vertex(word: Word) -> TreeVertex:
 
 
 ROOT = TreeVertex(())
-
-
-def geodesic(a: TreeVertex, b: TreeVertex) -> list[TreeVertex]:
-    """The vertex path from a to b."""
-    k = lcp_len(a.word, b.word)
-    down = [TreeVertex(a.word[:i]) for i in range(len(a.word), k, -1)]
-    up = [TreeVertex(b.word[:i]) for i in range(k, len(b.word) + 1)]
-    return down + up
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +285,6 @@ class TreeApartment(_Value):
 def standard_apartment() -> TreeApartment:
     """The line through the base vertex alternating the colors 0 and 1."""
     return TreeApartment(TreeEnd((), (1, 0)), TreeEnd((), (0, 1)))
-
-
-class ConeNeighborhood(_Value):
-    """Basic neighborhood of an end: agreement with its ray to depth r."""
-
-    __slots__ = ("ray_target", "r")
-
-    def __init__(self, ray_target: TreeEnd, r: int):
-        if r < 1:
-            raise ValueError("cone neighborhoods need depth r >= 1")
-        object.__setattr__(self, "ray_target", ray_target)
-        object.__setattr__(self, "r", r)
-
-    def _key(self) -> tuple:
-        return (self.ray_target, self.r)
-
-    def __repr__(self) -> str:
-        return f"ConeNeighborhood(ray_target={self.ray_target!r}, r={self.r!r})"
-
-    def contains_end(self, xi: TreeEnd) -> bool:
-        return xi.word_prefix(self.r) == self.ray_target.word_prefix(self.r)
-
-    def contains_vertex(self, v: TreeVertex) -> bool:
-        return len(v.word) > self.r and v.word[: self.r] == self.ray_target.word_prefix(
-            self.r
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +535,6 @@ def constant_portrait(base_image: TreeVertex, sigma: Perm, degree: int) -> Table
     return TablePortrait(base_image, {(): sigma}, degree, EXTEND_CONSTANT)
 
 
-def identity_portrait(degree: int) -> TablePortrait:
-    return parallel_transport((), degree)
-
-
 def transport_between(src: TreeVertex, dst: TreeVertex, degree: int) -> TablePortrait:
     """The color-preserving automorphism with src -> dst."""
     w = reduce_word(dst.word, tuple(reversed(src.word)))
@@ -741,15 +640,6 @@ def _hyperbolic(g: Portrait, v: TreeVertex, length: int) -> IsometryClass:
     )
 
 
-def is_strongly_regular(g: Portrait) -> bool:
-    """On a tree: strongly regular = hyperbolic.
-
-    The two ends of the axis are chambers of the boundary, automatically
-    opposite and interior (chambers of a rank-one boundary are points).
-    """
-    return classify_isometry(g).is_hyperbolic
-
-
 def hyperbolic_from_segment(
     h: Portrait, seg: Sequence[TreeVertex], image_seg: Sequence[TreeVertex]
 ) -> IsometryClass:
@@ -786,74 +676,35 @@ def hyperbolic_from_segment(
 
 
 # ---------------------------------------------------------------------------
-# retraction from an end, Busemann homomorphism
+# the Busemann character of an end stabilizer
 
 
-def retraction(a: TreeApartment, c: TreeEnd, x: TreeVertex) -> int:
-    """Retraction onto the apartment based at one of its ends.
+def busemann_beta(c: TreeEnd, g: Portrait) -> int:
+    """Translation part of an automorphism fixing the end c: how far g
+    moves the points of a ray to c toward c.
 
-    The ray [x, c) merges into the line at the projection p of x; the image
-    is the point of the line at distance d(x, p) from p on the far side from
-    c.  Restricted to the line this is the identity; the result is reported
-    in the line's integer coordinates.
+    A hyperbolic g fixes exactly the two ends of its axis (Tits 1970) and
+    moves the attracting one's ray toward it by its translation length,
+    away from the repelling one's; an elliptic g fixing c fixes a vertex and
+    so the whole ray from it to c; an inversion fixes no end.
     """
-    if c == a.end_plus:
-        toward_plus = True
-    elif c == a.end_minus:
-        toward_plus = False
-    else:
-        raise ValueError("the retraction end must be an end of the apartment")
-    coord, dist = a.project(x)
-    return coord - dist if toward_plus else coord + dist
+    cls = classify_isometry(g)
+    if cls.is_hyperbolic:
+        if c == cls.axis.end_plus:
+            return cls.length
+        if c == cls.axis.end_minus:
+            return -cls.length
+    elif g.fixes_end(c):
+        return 0
+    raise NotInStabilizer("the portrait does not fix the end")
 
 
-def _certify_fixes_end(g: Portrait, c: TreeEnd):
+def in_Gc0(g: Portrait, c: TreeEnd) -> bool:
+    """Membership in the point-fixing part of the stabilizer of the end c:
+    g fixes c and is elliptic, so that it fixes a ray to c pointwise."""
     if not g.fixes_end(c):
         raise NotInStabilizer("the portrait does not fix the end")
-
-
-def busemann_beta(a: TreeApartment, c: TreeEnd, g: Portrait) -> int:
-    """Translation part of an end-stabilizing automorphism along the line.
-
-    beta_c(g) = retraction(a, c, g(v)) - retraction(a, c, v) for v deep
-    enough toward c; independent of v (evaluated at two depths).  Sign
-    convention: positive toward c.
-    """
-    _certify_fixes_end(g, c)
-    toward_plus = c == a.end_plus
-    depth = len(g.base_image.word) + a.branch_depth + 8
-    for attempt in range(2):
-        t = depth if toward_plus else -depth
-        step = 1 if toward_plus else -1
-        vals = []
-        for tt in (t, t + step):
-            v = a.vertex_at(tt)
-            vals.append(retraction(a, c, g.image(v)) - retraction(a, c, v))
-        if vals[0] == vals[1]:
-            raw = vals[0]
-            return raw if toward_plus else -raw
-        depth *= 2
-    raise RuntimeError("Busemann value did not stabilize at two depths")
-
-
-def in_Gc0(g: Portrait, c: TreeEnd, search_radius: int) -> bool:
-    """Membership in the point-fixing part of the end stabilizer.
-
-    True iff g fixes c and some vertex on the ray [base, c) within the
-    searched radius; equivalently the Busemann value vanishes and a fixed
-    vertex certifies it.
-    """
-    _certify_fixes_end(g, c)
-    a = TreeApartment(TreeEnd((), least_tail(c.letter(0), g.degree)), c)
-    if busemann_beta(a, c, g) != 0:
-        return False
-    for k in range(search_radius + 1):
-        v = c.vertex_at(k)
-        if g.image(v) == v:
-            return True
-    raise InsufficientRadius(
-        "vanishing Busemann value but no fixed vertex within the searched radius"
-    )
+    return classify_isometry(g).kind == "elliptic"
 
 
 # ---------------------------------------------------------------------------

@@ -3,33 +3,219 @@
 Oracles here are deliberately independent of the library code paths they
 check: brute-force counts over balls, direct deep-vertex evaluation for end
 images, exhaustive enumeration of constrained local data.
+
+The first section holds the small constructions that no command runs (ball
+enumeration, geodesics, cone neighborhoods, kernels and their convolution,
+retraction), kept here so that the library holds only what the pipeline
+needs.
 """
 
 import csv
 import io
 import json
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations
 from random import Random
+from typing import Iterator, NamedTuple
 
 from building_forge.group import LocalGroup, OrbitTable, k_orbit
-from building_forge.hecke import commutativity_of
-from building_forge.perms import compose, identity, invert, transposition
+from building_forge.hecke import StructureConstants, commutativity_of
+from building_forge.perms import Perm, compose, identity, transposition
 from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
     NotHyperbolic,
+    NotInStabilizer,
     Portrait,
     TablePortrait,
+    TreeApartment,
     TreeEnd,
     TreeVertex,
-    Word,
-    ball_words,
+    _Value,
     classify_isometry,
-    reduce_word,
-    sphere_words,
+    parallel_transport,
 )
+from building_forge.words import OutOfBudget, Word, lcp_len, reduce_word, sphere_words
+
+# ---------------------------------------------------------------------------
+# constructions no command runs
+
+
+def invert(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def ball_words(degree: int, radius: int) -> Iterator[Word]:
+    for n in range(radius + 1):
+        yield from sphere_words(degree, n)
+
+
+def geodesic(a: TreeVertex, b: TreeVertex) -> list[TreeVertex]:
+    """The vertex path from a to b."""
+    k = lcp_len(a.word, b.word)
+    down = [TreeVertex(a.word[:i]) for i in range(len(a.word), k, -1)]
+    up = [TreeVertex(b.word[:i]) for i in range(k, len(b.word) + 1)]
+    return down + up
+
+
+class ConeNeighborhood(_Value):
+    """Basic neighborhood of an end: agreement with its ray to depth r."""
+
+    __slots__ = ("ray_target", "r")
+
+    def __init__(self, ray_target: TreeEnd, r: int):
+        if r < 1:
+            raise ValueError("cone neighborhoods need depth r >= 1")
+        object.__setattr__(self, "ray_target", ray_target)
+        object.__setattr__(self, "r", r)
+
+    def _key(self) -> tuple:
+        return (self.ray_target, self.r)
+
+    def __repr__(self) -> str:
+        return f"ConeNeighborhood(ray_target={self.ray_target!r}, r={self.r!r})"
+
+    def contains_end(self, xi: TreeEnd) -> bool:
+        return xi.word_prefix(self.r) == self.ray_target.word_prefix(self.r)
+
+    def contains_vertex(self, v: TreeVertex) -> bool:
+        return len(v.word) > self.r and v.word[: self.r] == self.ray_target.word_prefix(
+            self.r
+        )
+
+
+def identity_portrait(degree: int) -> TablePortrait:
+    return parallel_transport((), degree)
+
+
+def is_strongly_regular(g: Portrait) -> bool:
+    """On a tree: strongly regular = hyperbolic.
+
+    The two ends of the axis are chambers of the boundary, automatically
+    opposite and interior (chambers of a rank-one boundary are points).
+    """
+    return classify_isometry(g).is_hyperbolic
+
+
+def enumerate_ends(degree: int, max_prefix: int, max_period: int) -> list[TreeEnd]:
+    """All normalized ends with bounded prefix and period lengths."""
+    out: set[TreeEnd] = set()
+    for per_len in range(2, max_period + 1):
+        for per in sphere_words(degree, per_len):
+            if per[0] == per[-1]:
+                continue
+            for pre_len in range(max_prefix + 1):
+                for pre in sphere_words(degree, pre_len):
+                    if pre and pre[-1] == per[0]:
+                        continue
+                    try:
+                        out.add(TreeEnd(pre, per))
+                    except ValueError:
+                        continue
+    return sorted(out, key=lambda e: (e.prefix, e.period))
+
+
+class KernelFunction(NamedTuple):
+    """A finitely supported kernel: exact rational coefficients per orbit.
+
+    Kernels are equal when their coefficients are.
+    """
+
+    coefficients: tuple[tuple[int, Fraction], ...]
+    support_radius: int
+
+    @classmethod
+    def from_dict(cls, coeffs: dict[int, Fraction], sc: StructureConstants):
+        clean = {i: Fraction(c) for i, c in coeffs.items() if c}
+        radius = max((sc.distance(i) for i in clean), default=0)
+        return cls(tuple(sorted(clean.items())), radius)
+
+    @classmethod
+    def unit(cls, sc: StructureConstants):
+        return cls.from_dict({0: 1}, sc)
+
+    @classmethod
+    def indicator(cls, sc: StructureConstants, orbit_id: int):
+        return cls.from_dict({orbit_id: 1}, sc)
+
+    def coefficient(self, orbit_id: int) -> Fraction:
+        for i, c in self.coefficients:
+            if i == orbit_id:
+                return c
+        return Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, KernelFunction) and self.coefficients == other.coefficients
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+
+def convolve(phi: KernelFunction, psi: KernelFunction, sc: StructureConstants) -> KernelFunction:
+    """(phi * psi)(k) = sum_ij phi(i) psi(j) N[i][j][k]; exact or refused."""
+    if phi.support_radius + psi.support_radius > sc.radius_budget:
+        raise OutOfBudget(
+            f"support radii {phi.support_radius}+{psi.support_radius} exceed "
+            f"budget {sc.radius_budget}"
+        )
+    out: dict[int, Fraction] = {}
+    for i, ci in phi.coefficients:
+        for j, cj in psi.coefficients:
+            for k, n in sc.products_of(i, j):
+                out[k] = out.get(k, 0) + ci * cj * n
+    return KernelFunction.from_dict(out, sc)
+
+
+def retraction(a: TreeApartment, c: TreeEnd, x: TreeVertex) -> int:
+    """Retraction onto the apartment based at one of its ends.
+
+    The ray [x, c) merges into the line at the projection p of x; the image
+    is the point of the line at distance d(x, p) from p on the far side from
+    c.  Restricted to the line this is the identity; the result is reported
+    in the line's integer coordinates.
+    """
+    if c == a.end_plus:
+        toward_plus = True
+    elif c == a.end_minus:
+        toward_plus = False
+    else:
+        raise ValueError("the retraction end must be an end of the apartment")
+    coord, dist = a.project(x)
+    return coord - dist if toward_plus else coord + dist
+
+
+def busemann_beta_by_retraction(a: TreeApartment, c: TreeEnd, g: Portrait) -> int:
+    """The oracle for ``tree.busemann_beta``: retraction(a, c, g(v)) -
+    retraction(a, c, v) for v on the line, deep enough toward c that the
+    value is the same at two consecutive depths, doubling the depth once if
+    not.  Sign convention: positive toward c."""
+    if not g.fixes_end(c):
+        raise NotInStabilizer("the portrait does not fix the end")
+    toward_plus = c == a.end_plus
+    depth = len(g.base_image.word) + a.branch_depth + 8
+    for _ in range(2):
+        t = depth if toward_plus else -depth
+        step = 1 if toward_plus else -1
+        vals = []
+        for tt in (t, t + step):
+            v = a.vertex_at(tt)
+            vals.append(retraction(a, c, g.image(v)) - retraction(a, c, v))
+        if vals[0] == vals[1]:
+            return vals[0] if toward_plus else -vals[0]
+        depth *= 2
+    raise RuntimeError("Busemann value did not stabilize at two depths")
+
+
+# ---------------------------------------------------------------------------
+# groups and reference reports
 
 # The oracle end walk's step budget, past the prefix, period and base image
 # terms: the library walk needs none, as it refuses a backtracking image.

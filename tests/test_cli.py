@@ -681,6 +681,31 @@ class TestImports:
         assert "building_forge.cli" in added
         assert not added & {"dataclasses", "inspect", "fractions", "csv"}
 
+    def test_parsing_a_group_loads_neither_tree_nor_hashlib(self):
+        added = self.loaded(
+            "import building_forge.group as g; "
+            "g.parse_local_group('{\"degree\": 3, \"generators\": [\"1 2 0\"]}')"
+        ) - self.loaded("pass")
+        assert "building_forge.group" in added
+        assert not added & {"building_forge.tree", "hashlib"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orbits", "--radius", "3"],
+            ["hecke", "--radius", "3"],
+            ["orbits", "--radius", "3", "--format", "csv"],
+        ],
+        ids=["orbits", "hecke", "orbits-csv"],
+    )
+    def test_tables_load_no_tree(self, tmp_path, argv):
+        added = self.run_command(tmp_path, argv) - self.loaded("pass")
+        assert "building_forge.words" in added
+        assert "building_forge.tree" not in added
+        if "csv" in argv:
+            # the csv table prints no generator hash
+            assert "hashlib" not in added
+
     def test_cli_leaves_coxeter_out(self):
         loaded = self.loaded("import building_forge.cli")
         assert "building_forge.cli" in loaded

@@ -5,8 +5,16 @@ from random import Random
 
 import pytest
 
-from helpers import axis_overlap, random_hyperbolic, random_k_recipe
-from building_forge.group import enumerate_ends
+from helpers import (
+    axis_overlap,
+    ball_words,
+    busemann_beta_by_retraction,
+    enumerate_ends,
+    identity_portrait,
+    random_hyperbolic,
+    random_k_recipe,
+    retraction,
+)
 from building_forge.tree import (
     EXTEND_SPARSE,
     ROOT,
@@ -18,16 +26,14 @@ from building_forge.tree import (
     TreeApartment,
     TreeEnd,
     TreeVertex,
-    ball_words,
     busemann_beta,
     classify_isometry,
     constant_portrait,
-    identity_portrait,
     in_Gc0,
     iterate_on_end,
+    least_tail,
     parallel_transport,
     pigeonhole_find_hyperbolic,
-    retraction,
     segment_through_apartment,
     standard_apartment,
     transport_between,
@@ -99,19 +105,21 @@ class TestRetraction:
 class TestBusemann:
     def test_translation_values(self):
         g = parallel_transport((0, 1), 3)
-        assert busemann_beta(A, C_PLUS, g) == 2
-        assert busemann_beta(A, A.end_minus, g) == -2
+        assert busemann_beta(C_PLUS, g) == 2
+        assert busemann_beta(A.end_minus, g) == -2
 
     def test_kernel_elements(self):
         rng = Random(31)
         for _ in range(5):
             e = ray_fixing_portrait(rng)
-            assert busemann_beta(A, C_PLUS, e) == 0
+            assert busemann_beta(C_PLUS, e) == 0
 
     def test_not_in_stabilizer(self):
         g = parallel_transport((0, 2), 3)  # axis (02)-line, moves the (01)-end
         with pytest.raises(NotInStabilizer):
-            busemann_beta(A, C_PLUS, g)
+            busemann_beta(C_PLUS, g)
+        with pytest.raises(NotInStabilizer):
+            busemann_beta(C_PLUS, parallel_transport((2,), 3))  # an inversion
 
     def test_additive_on_sampled_stabilizer_pairs(self):
         rng = Random(37)
@@ -121,30 +129,66 @@ class TestBusemann:
         for _ in range(50):
             g = rng.choice(pool)
             h = rng.choice(pool)
-            assert busemann_beta(A, C_PLUS, g * h) == busemann_beta(
-                A, C_PLUS, g
-            ) + busemann_beta(A, C_PLUS, h)
+            assert busemann_beta(C_PLUS, g * h) == busemann_beta(C_PLUS, g) + busemann_beta(
+                C_PLUS, h
+            )
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_agrees_with_the_retraction_oracle(self, degree):
+        """Random end-stabilizing and base-fixing elements, hyperbolics and
+        their products, over every candidate end each one fixes: the value
+        read off the classification is the retraction difference, and both
+        refuse the ends it moves."""
+        rng = Random(53 + degree)
+        t = parallel_transport((0, 1), degree)
+        pool = [identity_portrait(degree), t, t.inverse()]
+        pool += [ray_fixing_portrait(rng, degree) for _ in range(3)]
+        pool += [random_k_recipe(rng, degree, depth=2)(TablePortrait) for _ in range(2)]
+        pool += [random_hyperbolic(rng, degree)[0] for _ in range(3)]
+        pool += [rng.choice(pool) * rng.choice(pool) for _ in range(12)]
+        ends = set(enumerate_ends(degree, max_prefix=1, max_period=2))
+        for g in pool:
+            cls = classify_isometry(g)
+            if cls.is_hyperbolic:
+                ends |= {cls.axis.end_minus, cls.axis.end_plus}
+        seen = set()
+        for g in pool:
+            for c in ends:
+                a = TreeApartment(TreeEnd((), least_tail(c.letter(0), degree)), c)
+                try:
+                    expected = busemann_beta_by_retraction(a, c, g)
+                except NotInStabilizer:
+                    with pytest.raises(NotInStabilizer):
+                        busemann_beta(c, g)
+                    continue
+                assert busemann_beta(c, g) == expected
+                seen.add((expected > 0) - (expected < 0))
+        assert seen == {-1, 0, 1}
 
 
 class TestPointFixingPart:
     def test_identity_and_translation(self):
-        assert in_Gc0(identity_portrait(3), C_PLUS, 4)
-        assert not in_Gc0(parallel_transport((0, 1), 3), C_PLUS, 8)
+        assert in_Gc0(identity_portrait(3), C_PLUS)
+        assert not in_Gc0(parallel_transport((0, 1), 3), C_PLUS)
 
     def test_kernel_iff_beta_zero_with_certificate(self):
         rng = Random(41)
         t = parallel_transport((0, 1), 3)
         for _ in range(10):
             e = ray_fixing_portrait(rng)
-            assert in_Gc0(e, C_PLUS, 8)
-            assert not in_Gc0(t * e, C_PLUS, 10)
+            assert in_Gc0(e, C_PLUS)
+            assert not in_Gc0(t * e, C_PLUS)
 
     def test_closed_under_products(self):
         rng = Random(43)
         for _ in range(6):
             g = ray_fixing_portrait(rng)
             h = ray_fixing_portrait(rng)
-            assert in_Gc0(g * h, C_PLUS, 10)
+            assert in_Gc0(g * h, C_PLUS)
+
+    def test_not_in_stabilizer(self):
+        with pytest.raises(NotInStabilizer):
+            in_Gc0(parallel_transport((0, 2), 3), C_PLUS)
 
 
 def classified(g):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from helpers import make_c3, make_s3, make_s4, make_trivial, subgroups_of_symmetric
+from helpers import (
+    identity_portrait,
+    make_c3,
+    make_s3,
+    make_s4,
+    make_trivial,
+    subgroups_of_symmetric,
+)
 from building_forge import gelfand
 from building_forge.gelfand import (
     certify_disjoint,
@@ -24,7 +31,6 @@ from building_forge.hecke import commutativity_report, intersection_numbers
 from building_forge.tree import (
     TablePortrait,
     classify_isometry,
-    identity_portrait,
     parallel_transport,
 )
 

@@ -5,9 +5,13 @@ import pytest
 from random import Random
 
 from helpers import (
+    ball_words,
     check_legal,
     dfs_k_orbit,
+    enumerate_ends,
     first_outside_by_ball,
+    identity_portrait,
+    invert,
     k_orbits_on_sphere,
     make_c3,
     make_s3,
@@ -23,7 +27,6 @@ from building_forge.group import (
     LocalGroup,
     ParseError,
     _pair_orbit_count,
-    enumerate_ends,
     fixed_end_check,
     k_orbit,
     orbit_count_growth,
@@ -31,7 +34,7 @@ from building_forge.group import (
     parse_local_group,
     two_transitivity_on_ends_proxy,
 )
-from building_forge.perms import compose, invert, transposition
+from building_forge.perms import compose, transposition
 from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
@@ -42,13 +45,11 @@ from building_forge.tree import (
     TablePortrait,
     TreeEnd,
     TreeVertex,
-    ball_words,
     classify_isometry,
     constant_portrait,
-    identity_portrait,
     parallel_transport,
-    sphere_words,
 )
+from building_forge.words import sphere_words
 
 C3 = make_c3()
 S3 = make_s3()

@@ -7,6 +7,10 @@ from random import Random
 import pytest
 
 from helpers import (
+    KernelFunction,
+    ball_words,
+    convolve,
+    invert,
     make_c3,
     make_s3,
     make_s4,
@@ -19,17 +23,15 @@ from building_forge import hecke
 from building_forge.group import LocalGroup, OrbitClass, OrbitTable, orbit_table
 from building_forge.hecke import (
     HeckeVerdict,
-    KernelFunction,
     OutOfBudget,
     _near_geodesic,
     _transport,
     commutativity_of,
     commutativity_report,
-    convolve,
     intersection_numbers,
 )
-from building_forge.perms import compose, invert, transposition
-from building_forge.tree import ball_words, word_distance
+from building_forge.perms import compose, transposition
+from building_forge.words import word_distance
 
 C3 = make_c3()
 S3 = make_s3()

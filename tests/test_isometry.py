@@ -4,7 +4,14 @@ from random import Random
 
 import pytest
 
-from helpers import brute_min_displacement, random_hyperbolic, random_k_recipe, transport_recipe
+from helpers import (
+    brute_min_displacement,
+    identity_portrait,
+    is_strongly_regular,
+    random_hyperbolic,
+    random_k_recipe,
+    transport_recipe,
+)
 from building_forge.perms import transposition
 from building_forge.tree import (
     EXTEND_CONSTANT,
@@ -17,8 +24,6 @@ from building_forge.tree import (
     classify_isometry,
     constant_portrait,
     hyperbolic_from_segment,
-    identity_portrait,
-    is_strongly_regular,
     parallel_transport,
     standard_apartment,
 )

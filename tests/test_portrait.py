@@ -7,6 +7,9 @@ from random import Random
 import pytest
 
 from helpers import (
+    ball_words,
+    enumerate_ends,
+    identity_portrait,
     prefix_memo_image_of_end,
     random_hyperbolic,
     random_hyperbolic_recipe,
@@ -14,7 +17,7 @@ from helpers import (
     random_k_recipe,
     transport_recipe,
 )
-from building_forge.group import LocalGroup, enumerate_ends
+from building_forge.group import LocalGroup
 from building_forge.perms import transposition
 from building_forge.tree import (
     EXTEND_CONSTANT,
@@ -25,17 +28,14 @@ from building_forge.tree import (
     TreeEnd,
     TreeVertex,
     _end,
-    ball_words,
     classify_isometry,
     constant_portrait,
-    identity_portrait,
     iterate_on_end,
     parallel_transport,
-    reduce_word,
     segment_through_apartment,
-    sphere_words,
     transport_between,
 )
+from building_forge.words import reduce_word, sphere_words
 
 
 class TestNavigation:

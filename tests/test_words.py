@@ -5,18 +5,9 @@ import pickle
 
 import pytest
 
-from building_forge.tree import (
-    ROOT,
-    ConeNeighborhood,
-    TreeApartment,
-    TreeEnd,
-    TreeVertex,
-    ball_words,
-    geodesic,
-    reduce_word,
-    sphere_words,
-    standard_apartment,
-)
+from helpers import ConeNeighborhood, ball_words, geodesic
+from building_forge.tree import ROOT, TreeApartment, TreeEnd, TreeVertex, standard_apartment
+from building_forge.words import reduce_word, sphere_words
 
 
 class TestWords:
