@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -138,8 +139,14 @@ def md_lines(header: list[str], rows: Iterable[Iterable[str]]) -> Iterator[str]:
         yield "| " + " | ".join(cells) + " |\n"
 
 
-def word_str(w) -> str:
-    return " ".join(map(str, w))
+@cache
+def _word_format(length: int) -> str:
+    return " ".join(["%d"] * length)
+
+
+def word_str(w: tuple[int, ...]) -> str:
+    """The letters of ``w`` separated by spaces, from one format per length."""
+    return _word_format(len(w)) % w
 
 
 # ---------------------------------------------------------------------------

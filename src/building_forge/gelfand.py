@@ -171,22 +171,21 @@ def find_witness(
     builds a hyperbolic element along one apartment, points a second one at
     an end outside the stabilizer shadow of the first axis boundary, and
     scans powers (m, n) in lexicographic (m+n, m) order for an exact
-    vertex-orbit disjointness certificate.
+    vertex-orbit disjointness certificate.  On this side a search that runs
+    out of ``budget`` raises BudgetExhausted rather than answer None, which
+    is the strong side's answer: the pigeonhole walk finds no hyperbolic
+    element, a certificate outgrows its cap, or no pair of powers up to
+    ``budget`` is certified.
 
     Known gap: the None on the strong side is read off the pair proxy, not
     derived here, so on that side the report's witness view copies the
     proxy view rather than checking it.
     """
-    if budget < 1:
-        return None
     if strong is None:
         strong = two_transitivity_on_ends_proxy(F, 3)
     if strong:
         return None
-    try:
-        a, certificate = find_strongly_regular(F, budget)
-    except BudgetExhausted:
-        return None
+    a, certificate = find_strongly_regular(F, budget)
     target, r = separation_end(F, certificate.axis)
     word = target.word_prefix(max(r, 2))
     if word[0] == word[-1]:
@@ -199,13 +198,10 @@ def find_witness(
             if m > budget or n > budget:
                 continue
             alpha, beta = a.power(m), b.power(n)
-            try:
-                ok, left, right = certify_disjoint(F, alpha, beta)
-            except BudgetExhausted:
-                return None
+            ok, left, right = certify_disjoint(F, alpha, beta)
             if ok:
                 return WitnessPair(alpha, beta, m, n, (left, right), r)
-    return None
+    raise BudgetExhausted(f"no pair of powers up to {budget} certified as a witness")
 
 
 def evaluate_noncommutativity(

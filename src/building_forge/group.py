@@ -20,9 +20,11 @@ end load ``tree``.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import deque
 from functools import cache
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import perms
@@ -258,6 +260,15 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
     per class, that is one transition-table lookup and one tuple per member,
     each ball word built once and held, so a ball of more than
     ``_BALL_WORD_CAP`` words is refused before any work.
+
+    Each sphere is grown in one pass over the previous one, with no sort:
+    the parents run in representative order and ``_child_colors`` is
+    ascending, so the children arrive in (distance, representative) order.
+    The cyclic garbage collector is paused while the table grows.  The table
+    is tuples and frozensets of ints, which hold no reference cycle, so a
+    collection during the build only re-walks it and can free nothing.  The
+    collector is switched back on only if it was on at entry, so a caller
+    that has paused it itself is left as it was.
     """
     q = F.degree - 1
     words = 1 + F.degree * (q**radius - 1) // (q - 1)
@@ -267,20 +278,23 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
             f"{_BALL_WORD_CAP}"
         )
     kids = cache(lambda last: _child_colors(F, last))
-    classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
-    sphere = classes
-    for n in range(1, radius + 1):
-        children: list[tuple[Word, frozenset[Word]]] = []
-        for cls in sphere:
-            r = cls.representative
-            for c in kids(r[-1] if r else None):
-                children.append((r + (c,), cls.members))
-        children.sort(key=lambda child: child[0])
-        sphere = [
-            OrbitClass(len(classes) + i, n, rep, k_orbit(F, rep, parent))
-            for i, (rep, parent) in enumerate(children)
-        ]
-        classes.extend(sphere)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        classes = [OrbitClass(0, 0, (), k_orbit(F, ()))]
+        sphere = classes
+        for n in range(1, radius + 1):
+            ids = count(len(classes))
+            sphere = [
+                OrbitClass(next(ids), n, rep, k_orbit(F, rep, members))
+                for _, _, r, members in sphere
+                for c in kids(r[-1] if r else None)
+                for rep in [r + (c,)]
+            ]
+            classes.extend(sphere)
+    finally:
+        if enabled:
+            gc.enable()
     return OrbitTable(radius, tuple(classes))
 
 

@@ -524,8 +524,11 @@ def parallel_transport(word: Sequence[int], degree: int) -> TablePortrait:
     """The color-preserving automorphism sending the base vertex to ``word``.
 
     All local permutations are the identity; it lies in every universal
-    group.  It is hyperbolic iff the word's first and last letters differ,
-    in which case it translates its axis by len(word).
+    group.  The transports form a free product of order-2 groups, one per
+    color, so for a nonempty reduced ``word`` the transport is an inversion
+    iff the word is a palindrome.  Otherwise it is hyperbolic, and its
+    translation length is the length of the word after stripping equal
+    outer letters: (2, 0, 1, 2) translates its axis by 2.
     """
     return TablePortrait(TreeVertex(tuple(word)), {}, degree, EXTEND_SPARSE)
 

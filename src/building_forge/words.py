@@ -14,7 +14,8 @@ from typing import Iterator, Sequence
 
 class BudgetExhausted(RuntimeError):
     """A search or table over its budget: a pigeonhole walk that found no
-    repeat, or a ball too large to build."""
+    repeat, a witness search that certified no pair, or a ball too large to
+    build."""
 
 
 class OutOfBudget(ValueError):

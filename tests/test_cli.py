@@ -166,16 +166,28 @@ class TestGelfand:
         _, out, _ = run(capsys, ["gelfand", "--group", groups["s3"], "--radius", "3"])
         assert json.loads(out)["depth"] == 3
 
-    def test_inconsistent_exit_one(self, groups, capsys):
-        # a witness budget too small to even walk the apartment leaves the
-        # noncommutative side without its witness: flagged, exit code 1
-        code, out, _ = run(
-            capsys,
-            ["gelfand", "--group", groups["c3"], "--radius", "3", "--budget", "1"],
-        )
+    def test_inconsistent_exit_one(self, groups, capsys, monkeypatch):
+        # a witness view that misses the noncommutative side's witness
+        # disagrees with the other views: flagged, exit code 1
+        from building_forge import gelfand
+
+        monkeypatch.setattr(gelfand, "find_witness", lambda F, budget, strong: None)
+        code, out, _ = run(capsys, ["gelfand", "--group", groups["c3"], "--radius", "3"])
         assert code == 1
         doc = json.loads(out)
         assert doc["consistent"] is False and doc["witness"] is None
+
+    def test_exhausted_witness_budget_exits_three(self, groups, capsys):
+        # a weak-side search out of budget is refused; the strong side
+        # answers before any search, at any budget
+        for budget in ("0", "1"):
+            code, out, err = run(
+                capsys, ["gelfand", "--group", groups["c3"], "--budget", budget]
+            )
+            assert (code, out) == (3, "")
+            assert "budget" in err
+        code, out, _ = run(capsys, ["gelfand", "--group", groups["s3"], "--budget", "0"])
+        assert code == 0 and json.loads(out)["consistent"] is True
 
 
 class TestDynamics:

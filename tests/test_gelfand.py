@@ -33,6 +33,7 @@ from building_forge.tree import (
     classify_isometry,
     parallel_transport,
 )
+from building_forge.words import BudgetExhausted
 
 C3 = make_c3()
 S3 = make_s3()
@@ -105,11 +106,29 @@ class TestWitness:
         assert find_witness(S4, 6) is None
 
     def test_budget_zero(self):
-        assert find_witness(C3, 0) is None
+        with pytest.raises(BudgetExhausted):
+            find_witness(C3, 0)
 
     def test_budget_too_small_for_pigeonhole(self):
-        # the walk cannot even repeat a label: exhaustion reads as not-found
-        assert find_witness(C3, 1) is None
+        # the walk cannot even repeat a label: exhaustion is refused, never
+        # read as the strong side's None
+        with pytest.raises(BudgetExhausted):
+            find_witness(C3, 1)
+
+    def test_no_certified_pair_within_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            gelfand, "certify_disjoint", lambda F, a, b: (False, frozenset(), frozenset())
+        )
+        with pytest.raises(BudgetExhausted):
+            find_witness(C3, 3)
+
+    def test_an_oversized_certificate_is_refused(self, monkeypatch):
+        def over_cap(F, alpha, beta):
+            raise BudgetExhausted("certificate orbit sets exceed the size cap")
+
+        monkeypatch.setattr(gelfand, "certify_disjoint", over_cap)
+        with pytest.raises(BudgetExhausted):
+            find_witness(C3, 6)
 
     def test_trivial_group_witness(self):
         w = find_witness(TRIV, 6)

@@ -1,5 +1,8 @@
 """Universal groups: legality, stabilizer orbits, proxies."""
 
+import gc
+from contextlib import nullcontext
+
 import pytest
 
 from random import Random
@@ -396,6 +399,50 @@ class TestBallCap:
         monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
         with pytest.raises(BudgetExhausted):
             orbit_table(C3, 6)
+
+
+class TestOrbitTableCollector:
+    """``orbit_table`` pauses the cyclic collector while it grows the table
+    and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_the_collector_is_left_as_it_was(self, monkeypatch, enabled, fails):
+        def failing(F, word, parent=None):
+            if len(word) == 3:
+                raise MemoryError("no room for the orbit")
+            return k_orbit(F, word, parent)
+
+        if fails:
+            monkeypatch.setattr(group, "k_orbit", failing)
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(MemoryError) if fails else nullcontext():
+                orbit_table(C3, 5)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_the_build_makes_no_reference_cycles(self):
+        """With the collector off nothing frees a cycle, so a collection
+        after the tables are dropped counts every object left in one."""
+        groups = [
+            TRIV,
+            C3,
+            LocalGroup(5, [(1, 2, 3, 4, 0)]),
+            LocalGroup(4, [(1, 2, 3, 0), (0, 3, 2, 1)]),
+            S4,
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for F in groups:
+                for radius in (0, 3, 5):
+                    orbit_table(F, radius)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOrbitTableSerialization:

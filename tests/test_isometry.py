@@ -27,6 +27,7 @@ from building_forge.tree import (
     parallel_transport,
     standard_apartment,
 )
+from building_forge.words import sphere_words
 
 
 class TestClassify:
@@ -141,6 +142,25 @@ class TestExactClassification:
                 assert (cls.kind, cls.length, vertex) == (kind, length, v)
                 kinds.add(cls.kind)
         assert kinds == {"elliptic", "inversion", "hyperbolic"}
+
+    def test_transports_follow_the_free_product_rule(self):
+        """The transport by a reduced word is conjugate to the transport by
+        the word stripped of its equal outer letters: the identity for the
+        empty word, an inversion when one letter is left (a palindrome),
+        and otherwise hyperbolic of the stripped length."""
+        checked = 0
+        for degree in (3, 4):
+            for n in range(7):
+                for w in sphere_words(degree, n):
+                    core = w
+                    while len(core) > 1 and core[0] == core[-1]:
+                        core = core[1:-1]
+                    kind = {0: "elliptic", 1: "inversion"}.get(len(core), "hyperbolic")
+                    length = len(core) if kind == "hyperbolic" else 0
+                    cls = classify_isometry(parallel_transport(w, degree))
+                    assert (cls.kind, cls.length) == (kind, length), w
+                    checked += 1
+        assert checked == 1647
 
     def test_image_calls_do_not_grow_with_the_axis_distance(self, monkeypatch):
         def image_calls(n):
