@@ -80,9 +80,16 @@ def line_pigeonhole_oracles(F: LocalGroup, line: TreeApartment, window: int):
 
 
 def find_strongly_regular(F: LocalGroup, budget: int) -> tuple[Portrait, IsometryClass]:
-    """A hyperbolic element of U(F) found by pigeonhole, with its certificate."""
+    """A hyperbolic element of U(F) found by pigeonhole, with its certificate.
+
+    The labels are read with a window of 2 whatever the budget.  The
+    standard apartment alternates the colors 0 and 1, so at any window of 1
+    or more the labels alternate too and the first repeat is (0, 2) for
+    every F; a window that grew with the budget only made each label, and
+    so the walk, cost time and memory in proportion to the budget.
+    """
     line = standard_apartment()
-    labels, transporter = line_pigeonhole_oracles(F, line, window=budget + 2)
+    labels, transporter = line_pigeonhole_oracles(F, line, window=2)
     return pigeonhole_find_hyperbolic(line, labels, transporter, budget)
 
 
@@ -266,6 +273,12 @@ class Verdict(NamedTuple):
         return doc
 
 
+# CPython refuses to convert an int of more than 4,300 decimal digits to
+# text (its default int_max_str_digits), so a report holding such an orbit
+# count could not be printed.
+COUNT_DIGITS = 4300
+
+
 def main_theorem_report(F: LocalGroup, depth: int, budget: int = 6) -> Verdict:
     """Run all three views and check that they agree on a side.
 
@@ -274,9 +287,20 @@ def main_theorem_report(F: LocalGroup, depth: int, budget: int = 6) -> Verdict:
     note; no view reads the transitivity flags of F.  A False ``consistent``
     flag is a defect of this artifact (or an insufficient depth), never of
     the underlying equivalence.
+
+    A depth whose sphere size d (d-1)^(depth-1), the bound on every orbit
+    count, has more than ``COUNT_DIGITS`` digits is refused before any work.
     """
     if depth < 3:
         raise ValueError("reports need depth >= 3")
+    # d - 1 >= 2, so an exponent past 4 * COUNT_DIGITS already puts the
+    # bound past 10^COUNT_DIGITS: capping it keeps the answer and the power small
+    q = F.degree - 1
+    if F.degree * q ** min(depth - 1, 4 * COUNT_DIGITS) >= 10**COUNT_DIGITS:
+        raise BudgetExhausted(
+            f"depth {depth}: an orbit count may have more than {COUNT_DIGITS} digits, "
+            "too many to print"
+        )
     st_boundary = two_transitivity_on_ends_proxy(F, depth)
     growth = orbit_count_growth(F, depth)
     fixed_ends = fixed_end_check(F)

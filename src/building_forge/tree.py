@@ -43,10 +43,6 @@ class NotInStabilizer(ValueError):
     """The automorphism does not fix the required end."""
 
 
-class NotTranslatedSegment(ValueError):
-    """The segment/image pair is not in the translated-segment configuration."""
-
-
 class RepellingFixedEnd(ValueError):
     """Iteration requested at the repelling fixed end."""
 
@@ -561,26 +557,21 @@ class IsometryClass(NamedTuple):
         return self.kind == "hyperbolic"
 
 
-def _attracting_end(g: Portrait, start: TreeVertex) -> TreeEnd:
-    """lim g^n(start) for hyperbolic g with start on the axis.
+def _attracting_end(g: Portrait, v: TreeVertex, gv: TreeVertex) -> TreeEnd:
+    """lim g^n(v) for hyperbolic g, with v the projection of the base
+    vertex onto the axis and gv = g(v).
 
-    The iterates advance along the axis, so within len(start) + 1 steps one
-    lies past the projection of the base vertex, and its image extends it.
-    Once g(u) extends u by a chunk, g(u + chunk) extends u + chunk by the
-    colors g emits along the chunk from its state at u.  So (state, chunk)
-    fixes every later chunk, and its first repeat closes the period; states
-    are finitely many, so the repeat comes.
+    Every axis vertex lies beyond v from the base vertex, so g(v) extends v
+    by a chunk, and a portrait whose g(v) does not is refused.  Once g(u)
+    extends u by a chunk, g(u + chunk) extends u + chunk by the colors g
+    emits along the chunk from its state at u.  So (state, chunk) fixes
+    every later chunk, and its first repeat closes the period; states are
+    finitely many, so the repeat comes.
     """
-    v = start
-    for _ in range(len(start.word) + 1):
-        w = g.image(v)
-        if len(w.word) > len(v.word) and w.word[: len(v.word)] == v.word:
-            break
-        v = w
-    else:
-        raise RuntimeError("axis iteration never started extending")
     u = list(v.word)
-    chunk = w.word[len(u):]
+    if len(gv.word) <= len(u) or gv.word[: len(u)] != v.word:
+        raise RuntimeError("the axis vertex image does not extend it: not an automorphism")
+    chunk = gv.word[len(u):]
     state = g._walk(u)[1]
     seen: dict = {}
     while True:
@@ -610,16 +601,20 @@ def classify_isometry(g: Portrait) -> IsometryClass:
     (d0 - l) / 2 letters.  Otherwise the middle of [x0, g x0] is the fixed
     vertex (d0 even) or the near end of the inverted edge (d0 odd).  One or
     two more images check the certificate: g(v) = v, g(g(v)) = v, or g(v)
-    is v followed by l letters of [x0, g x0].
+    is v followed by l letters of [x0, g x0].  The axis ends are the limits
+    of g^n(v) and g^-n(v).
     """
     gx = g.image(ROOT)
     d0 = len(gx.word)
     length = len(g.image(gx).word) - d0
     if length > 0:
         v = _vertex(gx.word[: (d0 - length) // 2])
-        if g.image(v).word != gx.word[: len(v.word) + length]:
+        gv = g.image(v)
+        if gv.word != gx.word[: len(v.word) + length]:
             raise RuntimeError("the axis vertex is not translated: not an automorphism")
-        return _hyperbolic(g, v, length)
+        inv = g.inverse()
+        axis = TreeApartment(_attracting_end(inv, v, inv.image(v)), _attracting_end(g, v, gv))
+        return IsometryClass(kind="hyperbolic", length=length, axis=axis, axis_vertex=v)
     v = _vertex(gx.word[: d0 // 2])
     gv = g.image(v)
     if d0 % 2 == 0:
@@ -629,53 +624,6 @@ def classify_isometry(g: Portrait) -> IsometryClass:
     if gv.word != gx.word[: len(v.word) + 1] or g.image(gv) != v:
         raise RuntimeError("the middle edge is not inverted: not an automorphism")
     return IsometryClass(kind="inversion", length=0, fixed_edge=(v, gv))
-
-
-def _hyperbolic(g: Portrait, v: TreeVertex, length: int) -> IsometryClass:
-    """The certificate of g translating by ``length`` along an axis through v."""
-    plus = _attracting_end(g, v)
-    minus = _attracting_end(g.inverse(), v)
-    return IsometryClass(
-        kind="hyperbolic",
-        length=length,
-        axis=TreeApartment(minus, plus),
-        axis_vertex=v,
-    )
-
-
-def hyperbolic_from_segment(
-    h: Portrait, seg: Sequence[TreeVertex], image_seg: Sequence[TreeVertex]
-) -> IsometryClass:
-    """Certify h hyperbolic from a forward-translated segment.
-
-    Requires image_seg = h(seg) pointwise, with image_seg overlapping seg in
-    at least one edge and extending it forward; then h translates a line
-    containing seg and image_seg by d(seg[0], image_seg[0]), with no global
-    displacement search.
-    """
-    seg = list(seg)
-    image_seg = list(image_seg)
-    if len(seg) != len(image_seg) or len(seg) < 3:
-        raise NotTranslatedSegment("need equal-length segments of >= 3 vertices")
-    for v, w in zip(seg, image_seg):
-        if h.image(v) != w:
-            raise NotTranslatedSegment("image segment is not the pointwise image")
-    k = seg[0].distance(image_seg[0])
-    if k < 1:
-        raise NotTranslatedSegment("zero shift")
-    if len(seg) - k < 2:
-        raise NotTranslatedSegment("overlap shorter than one edge")
-    for i in range(len(seg) - k):
-        if image_seg[i] != seg[i + k]:
-            raise NotTranslatedSegment("image does not overlap the segment forward")
-    union = seg + image_seg[len(seg) - k:]
-    for a, b in zip(union, union[1:]):
-        if a.distance(b) != 1:
-            raise NotTranslatedSegment("segment is not a path")
-    for a, b in zip(union, union[2:]):
-        if a == b:
-            raise NotTranslatedSegment("path backtracks")
-    return _hyperbolic(h, seg[0], k)
 
 
 # ---------------------------------------------------------------------------
@@ -766,27 +714,26 @@ def pigeonhole_find_hyperbolic(
 ) -> tuple[Portrait, IsometryClass]:
     """Find a hyperbolic element by label repetition along a line or ray.
 
-    Walks the marked vertices line.vertex_at(0), vertex_at(1), ...; when two
-    positions s < t carry equal labels, asks the transporter for a group
-    element matching their neighborhoods and certifies it hyperbolic via the
-    translated-segment criterion (translation length = t - s).  Transporter
-    failures and uncertifiable candidates are skipped, not fatal.  Returns
-    the element with its certificate.
+    Walks the marked vertices v_t = line.vertex_at(t) for t = 0..budget;
+    when two positions s < t carry equal labels, asks the transporter for a
+    group element g matching their neighborhoods.  g is accepted iff
+    g(v_s) = v_t and ``classify_isometry(g)`` is hyperbolic of length
+    t - s: a hyperbolic element moves a vertex by its length only on its
+    axis, so v_s and v_t lie on it.  A None answer and any other candidate
+    are skipped, not fatal.  Returns g with its classification.
     """
     seen: dict = {}
     for t in range(budget + 1):
         v = line.vertex_at(t)
         lbl = labels(v)
         for s in seen.get(lbl, ()):
-            g = transporter(line.vertex_at(s), v)
-            if g is None:
+            u = line.vertex_at(s)
+            g = transporter(u, v)
+            if g is None or g.image(u) != v:
                 continue
-            seg = [line.vertex_at(i) for i in range(s, t + 2)]
-            imgs = [g.image(u) for u in seg]
-            try:
-                return g, hyperbolic_from_segment(g, seg, imgs)
-            except NotTranslatedSegment:
-                continue
+            cls = classify_isometry(g)
+            if cls.is_hyperbolic and cls.length == t - s:
+                return g, cls
         seen.setdefault(lbl, []).append(t)
     raise BudgetExhausted(
         f"no certified repeat within budget {budget} ({len(seen)} distinct labels)"

@@ -95,6 +95,11 @@ def command_lines() -> list[list[str]]:
                     ["dynamics", "--group", group, "--auto", f"transport:{word}",
                      "--end", end, "--nmax", "5"]
                 )
+    # C3 at a depth whose orbit counts could have more digits than CPython
+    # prints (refused before any output), and at a budget far past the first
+    # label repeat (answered as at a small one)
+    lines += _with_formats(["gelfand", "--group", "groups/c3.json", "--radius", "14286"])
+    lines += _with_formats(["find-sr", "--group", "groups/c3.json", "--budget", "1000000"])
     dyn = ["dynamics", "--group", "groups/c3.json"]
     for nmax in ("1", "12"):
         lines += _with_formats(dyn + ["--auto", "transport:0,1", "--end", ":0,2", "--nmax", nmax])

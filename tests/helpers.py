@@ -26,6 +26,7 @@ from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
+    IsometryClass,
     NotHyperbolic,
     NotInStabilizer,
     Portrait,
@@ -590,6 +591,74 @@ def random_hyperbolic_recipe(rng: Random, degree: int = 3) -> tuple[Recipe, int]
 def random_hyperbolic(rng: Random, degree: int = 3) -> tuple[Portrait, int]:
     recipe, length = random_hyperbolic_recipe(rng, degree)
     return recipe(TablePortrait), length
+
+
+class NotTranslatedSegment(ValueError):
+    """The segment/image pair is not in the translated-segment configuration."""
+
+
+def hyperbolic_from_segment(h: Portrait, seg, image_seg) -> IsometryClass:
+    """Certify h hyperbolic from a forward-translated segment, without
+    ``classify_isometry``.
+
+    Requires image_seg = h(seg) pointwise, with image_seg overlapping seg in
+    at least one edge and extending it forward; then h translates a line
+    containing seg and image_seg by d(seg[0], image_seg[0]).  The axis ends
+    are iterated from seg[0] by ``_axis_limit``.
+    """
+    seg = list(seg)
+    image_seg = list(image_seg)
+    if len(seg) != len(image_seg) or len(seg) < 3:
+        raise NotTranslatedSegment("need equal-length segments of >= 3 vertices")
+    for v, w in zip(seg, image_seg):
+        if h.image(v) != w:
+            raise NotTranslatedSegment("image segment is not the pointwise image")
+    k = seg[0].distance(image_seg[0])
+    if k < 1:
+        raise NotTranslatedSegment("zero shift")
+    if len(seg) - k < 2:
+        raise NotTranslatedSegment("overlap shorter than one edge")
+    for i in range(len(seg) - k):
+        if image_seg[i] != seg[i + k]:
+            raise NotTranslatedSegment("image does not overlap the segment forward")
+    union = seg + image_seg[len(seg) - k:]
+    for a, b in zip(union, union[1:]):
+        if a.distance(b) != 1:
+            raise NotTranslatedSegment("segment is not a path")
+    for a, b in zip(union, union[2:]):
+        if a == b:
+            raise NotTranslatedSegment("path backtracks")
+    axis = TreeApartment(_axis_limit(h.inverse(), seg[0]), _axis_limit(h, seg[0]))
+    return IsometryClass(kind="hyperbolic", length=k, axis=axis, axis_vertex=seg[0])
+
+
+def _axis_limit(h: Portrait, start: TreeVertex) -> TreeEnd:
+    """lim h^n(start) for hyperbolic h with start on its axis, one whole
+    image per iterate.
+
+    The iterates advance along the axis, so within len(start) + 1 steps one
+    lies past the projection of the base vertex and its image extends it.
+    From there the state of h at the iterate u (walked from the base
+    vertex) and the chunk that h(u) adds to u fix every later chunk, so
+    their first repeat closes the period.
+    """
+    u = start
+    for _ in range(len(start.word) + 1):
+        w = h.image(u)
+        if len(w.word) > len(u.word) and w.word[: len(u.word)] == u.word:
+            break
+        u = w
+    else:
+        raise RuntimeError("axis iteration never started extending")
+    seen: dict = {}
+    while True:
+        key = (h._walk(u.word)[1], w.word[len(u.word):])
+        if key in seen:
+            return TreeEnd(u.word[: seen[key]], u.word[seen[key]:])
+        seen[key] = len(u.word)
+        u, w = w, h.image(w)
+        if w.word[: len(u.word)] != u.word:
+            raise RuntimeError("axis iteration stopped extending")
 
 
 def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:

@@ -15,6 +15,7 @@ from helpers import (
     busemann_beta_by_retraction,
     convolve,
     enumerate_ends,
+    hyperbolic_from_segment,
     identity_portrait,
     make_c3,
     make_s3,
@@ -44,7 +45,6 @@ from building_forge.tree import (
     busemann_beta,
     classify_isometry,
     constant_portrait,
-    hyperbolic_from_segment,
     in_Gc0,
     parallel_transport,
     pigeonhole_find_hyperbolic,

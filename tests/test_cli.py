@@ -189,6 +189,13 @@ class TestGelfand:
         code, out, _ = run(capsys, ["gelfand", "--group", groups["s3"], "--budget", "0"])
         assert code == 0 and json.loads(out)["consistent"] is True
 
+    def test_depth_with_unprintable_counts_refused_before_output(self, groups, capsys):
+        # an orbit count of C3 at depth 14286 has more digits than CPython
+        # converts to text
+        code, out, err = run(capsys, ["gelfand", "--group", groups["c3"], "--radius", "14286"])
+        assert (code, out) == (3, "")
+        assert "4300 digits" in err
+
 
 class TestDynamics:
     def test_agreement_table(self, groups, capsys):

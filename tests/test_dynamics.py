@@ -400,3 +400,51 @@ class TestPigeonhole:
             g, cert = pigeonhole_find_hyperbolic(line, labels, transporter, budget)
             cls = classify_isometry(g)
             assert (cert.axis, cert.length) == (cls.axis, cls.length)
+
+    def test_returns_exactly_the_classification(self):
+        # v_0 = x0 has a label of its own, so the repeats start at s = 1,
+        # off the projection of x0 onto the axis
+        line, step = self.line_with_unit_translation()
+        labels = lambda v: line.coordinate_of(v) > 0
+        for transporter in [
+            lambda u, v: step.power(line.coordinate_of(v) - line.coordinate_of(u)),
+            lambda u, v: transport_between(u, v, 3),
+        ]:
+            g, cert = pigeonhole_find_hyperbolic(line, labels, transporter, budget=6)
+            assert cert == classify_isometry(g)
+
+    def test_skips_an_answer_that_misses_the_later_vertex(self):
+        # step^-1 is hyperbolic of length 1 but sends v_0 to v_-1
+        line, step = self.line_with_unit_translation()
+        asked = []
+
+        def transporter(u, v):
+            s, t = line.coordinate_of(u), line.coordinate_of(v)
+            asked.append((s, t))
+            return step.inverse() if (s, t) == (0, 1) else step.power(t - s)
+
+        g, cls = pigeonhole_find_hyperbolic(line, lambda v: 0, transporter, budget=4)
+        assert asked == [(0, 1), (0, 2)]
+        assert cls.length == 2 and g.image(line.vertex_at(0)) == line.vertex_at(2)
+
+    def test_skips_elliptic_and_inversion_answers(self):
+        # along the standard apartment v_0 = x0, v_1 = (0), v_2 = (0 1): the
+        # transports of odd gap are inversions, and (0, 2) is answered by an
+        # elliptic fixing v_1, so the first hyperbolic answer is at (1, 3)
+        line = standard_apartment()
+        swap = constant_portrait(ROOT, (1, 0, 2), 3)
+        flip = parallel_transport((0,), 3)
+        elliptic = flip * swap * flip
+        assert classify_isometry(elliptic).fixed_vertex == line.vertex_at(1)
+        asked = []
+
+        def transporter(u, v):
+            asked.append((line.coordinate_of(u), line.coordinate_of(v)))
+            return elliptic if len(asked) == 2 else transport_between(u, v, 3)
+
+        g, cls = pigeonhole_find_hyperbolic(line, lambda v: 0, transporter, budget=5)
+        assert asked == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+        kinds = [classify_isometry(transport_between(line.vertex_at(s), line.vertex_at(t), 3)).kind
+                 for s, t in [(0, 1), (1, 2), (0, 3)]]
+        assert kinds == ["inversion"] * 3
+        assert cls.length == 2 and g.image(line.vertex_at(1)) == line.vertex_at(3)

@@ -89,6 +89,38 @@ class TestSeparation:
         assert r == 1
 
 
+class TestFindStronglyRegular:
+    def test_window_does_not_depend_on_the_budget(self, monkeypatch):
+        windows = []
+        oracles = gelfand.line_pigeonhole_oracles
+
+        def recording(F, line, window):
+            windows.append(window)
+            return oracles(F, line, window)
+
+        monkeypatch.setattr(gelfand, "line_pigeonhole_oracles", recording)
+        found = [find_strongly_regular(C3, budget) for budget in (2, 6, 1000, 10**6)]
+        assert len(set(windows)) == 1
+        assert len({(g.base_image, cls) for g, cls in found}) == 1
+
+
+class TestCountDigits:
+    @pytest.mark.parametrize("F, last", [(C3, 14283), (make_trivial(5), 7141)])
+    def test_deepest_printable_depth(self, F, last, monkeypatch):
+        # d (d-1)^(depth-1) first passes 10^4300 at depth last + 1; the
+        # refusal comes before the first view runs, which a depth that
+        # passes reaches
+        def first_view(F, depth):
+            raise LookupError(depth)
+
+        monkeypatch.setattr(gelfand, "two_transitivity_on_ends_proxy", first_view)
+        with pytest.raises(LookupError):
+            main_theorem_report(F, last)
+        for depth in (last + 1, 10**11):
+            with pytest.raises(BudgetExhausted, match=f"{gelfand.COUNT_DIGITS} digits"):
+                main_theorem_report(F, depth)
+
+
 class TestWitness:
     def test_c3_witness(self):
         w = find_witness(C3, 6)

@@ -5,7 +5,9 @@ from random import Random
 import pytest
 
 from helpers import (
+    NotTranslatedSegment,
     brute_min_displacement,
+    hyperbolic_from_segment,
     identity_portrait,
     is_strongly_regular,
     random_hyperbolic,
@@ -17,13 +19,11 @@ from building_forge.tree import (
     EXTEND_CONSTANT,
     EXTEND_SPARSE,
     ROOT,
-    NotTranslatedSegment,
     Portrait,
     TablePortrait,
     TreeVertex,
     classify_isometry,
     constant_portrait,
-    hyperbolic_from_segment,
     parallel_transport,
     standard_apartment,
 )
@@ -188,6 +188,16 @@ class TestExactClassification:
         # g(g(x0)) = (0 1) claims an elliptic, but g((0,)) is (0 1 2)
         g = Portrait(3, TreeVertex((0, 1)), 0, lambda s, c: (2, s))
         with pytest.raises(RuntimeError, match="not an automorphism"):
+            classify_isometry(g)
+
+    def test_axis_vertex_image_must_extend_it(self):
+        # two states, each permuting the colors, so the inverse machine
+        # exists: g(x0) = (0 2) and g(g(x0)) = (0 2 1 0) claim a translation
+        # of length 2 with x0 on the axis, but g^-1 fixes x0
+        table = {0: ((1, 2, 0), (0, 1, 0)), 1: ((1, 0, 2), (0, 1, 0))}
+        g = Portrait(3, TreeVertex((0, 2)), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
+        assert g.inverse().image(ROOT) == ROOT
+        with pytest.raises(RuntimeError, match="does not extend it: not an automorphism"):
             classify_isometry(g)
 
 
