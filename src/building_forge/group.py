@@ -270,11 +270,13 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
     collector is switched back on only if it was on at entry, so a caller
     that has paused it itself is left as it was.
     """
-    q = F.degree - 1
-    words = 1 + F.degree * (q**radius - 1) // (q - 1)
+    # q >= 2, so past this exponent the ball is over the cap at any radius
+    q, exponent = F.degree - 1, min(radius, _BALL_WORD_CAP.bit_length())
+    words = 1 + F.degree * (q**exponent - 1) // (q - 1)
     if words > _BALL_WORD_CAP:
+        size = words if exponent == radius else f"more than {_BALL_WORD_CAP}"
         raise BudgetExhausted(
-            f"the ball of radius {radius} has {words} words, above the cap of "
+            f"the ball of radius {radius} has {size} words, above the cap of "
             f"{_BALL_WORD_CAP}"
         )
     kids = cache(lambda last: _child_colors(F, last))
@@ -302,15 +304,15 @@ def orbit_table(F: LocalGroup, radius: int) -> OrbitTable:
 # strong-transitivity proxies
 
 
-class GrowthReport(NamedTuple):
-    """Per-sphere orbit counts with the finite-depth verdict.
+# The proxies answer alike at every depth >= 2, so nothing is counted past
+# this one: it passes every radius an orbit table reaches (19 at degree 3),
+# and keeps each count below d^64 however deep the report.
+COUNT_DEPTH = 64
 
-    From radius 3 the window of the last three spheres is constant iff F is
-    2-transitive ("stabilized"), and strictly increasing otherwise
-    ("growing"): then some F_a has two or more orbits on the other colors,
-    and the colors whose class count grows from depth n to n+1 form an
-    F-invariant set, nonempty at n = 1 and met by every other color's
-    children, so it stays nonempty.
+
+class GrowthReport(NamedTuple):
+    """Per-sphere orbit counts to min(radius, ``COUNT_DEPTH``): "stabilized"
+    iff the last is 1, that is iff F is 2-transitive (``orbit_count_growth``).
     """
 
     radius: int
@@ -336,20 +338,19 @@ def _arm_classes(F: LocalGroup, n: int) -> list[list[int]]:
 
 
 def orbit_count_growth(F: LocalGroup, radius: int) -> GrowthReport:
-    """K-orbits per sphere: sphere n >= 1 has the sum of c_n[a] over a in
-    ``_child_colors(F, None)``; no table is built."""
-    if radius < 3:
-        raise ValueError("the growth window needs radius >= 3")
+    """K-orbits per sphere to min(radius, ``COUNT_DEPTH``): sphere n >= 1
+    has the sum of c_n[a] over a in ``_child_colors(F, None)``; no table is
+    built.  Sphere 1 has one class iff F is transitive, and sphere n >= 2
+    iff F is 2-transitive: one class needs one root color a and c_n[a] = 1,
+    which is at least a's number of child colors; then every color,
+    conjugate to a, has one child color.
+    """
+    if radius < 2:
+        raise ValueError("the growth verdict needs radius >= 2")
     roots = _child_colors(F, None)
-    counts = (1,) + tuple(sum(c[a] for a in roots) for c in _arm_classes(F, radius))
-    window = counts[radius - 2 : radius + 1]
-    if window[0] == window[1] == window[2]:
-        verdict = "stabilized"
-    elif window[0] < window[1] < window[2]:
-        verdict = "growing"
-    else:
-        raise RuntimeError(f"orbit counts {window} neither constant nor strictly increasing")
-    return GrowthReport(radius, counts, verdict)
+    arms = _arm_classes(F, min(radius, COUNT_DEPTH))
+    counts = (1,) + tuple(sum(c[a] for a in roots) for c in arms)
+    return GrowthReport(radius, counts, "stabilized" if counts[-1] == 1 else "growing")
 
 
 def _pair_orbit_count(F: LocalGroup, n: int) -> int:
@@ -370,12 +371,14 @@ def two_transitivity_on_ends_proxy(F: LocalGroup, n: int) -> bool:
     mutual distance 2n.  The midpoint is normalized to the base vertex by
     vertex transitivity, so this asks whether K, the base-vertex stabilizer,
     has one orbit on pairs (u, v) of depth-n words with u[0] != v[0].  The
-    orbits are counted by ``_pair_orbit_count``, never enumerated.  Cost:
-    O(n * d^2) after the ``posts`` tables fill, with no sphere held.
+    orbits are counted by ``_pair_orbit_count`` at min(n, ``COUNT_DEPTH``):
+    at any n >= 1 there is one iff F is 2-transitive, as it needs one root
+    color a, one child color b of a and c_n[a] = c_n[b] = 1.  Cost: O(d^2)
+    per level after the ``posts`` tables fill, with no sphere held.
     """
     if n < 2:
         raise ValueError("the proxy needs depth n >= 2")
-    return _pair_orbit_count(F, n) == 1
+    return _pair_orbit_count(F, min(n, COUNT_DEPTH)) == 1
 
 
 def default_generating_family(F: LocalGroup) -> list[Portrait]:

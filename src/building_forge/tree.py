@@ -613,7 +613,10 @@ def classify_isometry(g: Portrait) -> IsometryClass:
         if gv.word != gx.word[: len(v.word) + length]:
             raise RuntimeError("the axis vertex is not translated: not an automorphism")
         inv = g.inverse()
-        axis = TreeApartment(_attracting_end(inv, v, inv.image(v)), _attracting_end(g, v, gv))
+        ends = _attracting_end(inv, v, inv.image(v)), _attracting_end(g, v, gv)
+        if ends[0] == ends[1]:
+            raise RuntimeError("the two axis ends coincide: not an automorphism")
+        axis = TreeApartment(*ends)
         return IsometryClass(kind="hyperbolic", length=length, axis=axis, axis_vertex=v)
     v = _vertex(gx.word[: d0 // 2])
     gv = g.image(v)

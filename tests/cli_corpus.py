@@ -95,10 +95,13 @@ def command_lines() -> list[list[str]]:
                     ["dynamics", "--group", group, "--auto", f"transport:{word}",
                      "--end", end, "--nmax", "5"]
                 )
-    # C3 at a depth whose orbit counts could have more digits than CPython
-    # prints (refused before any output), and at a budget far past the first
-    # label repeat (answered as at a small one)
+    # gelfand deep past the listed orbit counts: C3 answers with counts to
+    # sphere 64, S3 is refused by the ball cap; and C3 at a budget far past
+    # the first label repeat (answered as at a small one)
     lines += _with_formats(["gelfand", "--group", "groups/c3.json", "--radius", "14286"])
+    for group in ("c3", "s3"):
+        deep = ["gelfand", "--group", f"groups/{group}.json", "--radius", str(10**11)]
+        lines += _with_formats(deep)
     lines += _with_formats(["find-sr", "--group", "groups/c3.json", "--budget", "1000000"])
     dyn = ["dynamics", "--group", "groups/c3.json"]
     for nmax in ("1", "12"):

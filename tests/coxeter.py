@@ -11,6 +11,9 @@ that every wall is a level set {f = k} at an integer k and every point of
 the coweight lattice Z^n is a special vertex.  No other presentation is
 assumed anywhere.  All arithmetic is exact: there are no floats and no
 tolerance parameters in this module.
+
+No command runs this model; it lives beside the tests as the oracle of
+acceptance criterion 10, and ``test_coxeter.py`` checks it.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from helpers import (
     retraction,
     triple_loop_count,
 )
-from building_forge.coxeter import (
+from coxeter import (
     ApartmentVector,
     construct_strongly_regular_translation,
     is_strongly_regular_translation,

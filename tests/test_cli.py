@@ -189,12 +189,12 @@ class TestGelfand:
         code, out, _ = run(capsys, ["gelfand", "--group", groups["s3"], "--budget", "0"])
         assert code == 0 and json.loads(out)["consistent"] is True
 
-    def test_depth_with_unprintable_counts_refused_before_output(self, groups, capsys):
-        # an orbit count of C3 at depth 14286 has more digits than CPython
-        # converts to text
-        code, out, err = run(capsys, ["gelfand", "--group", groups["c3"], "--radius", "14286"])
-        assert (code, out) == (3, "")
-        assert "4300 digits" in err
+    def test_deep_report_stays_small(self, groups, capsys):
+        # the orbit counts are listed to sphere 64 at any depth
+        code, out, _ = run(capsys, ["gelfand", "--group", groups["c3"], "--radius", "14286"])
+        assert code == 0 and len(out.encode()) < 4096
+        doc = json.loads(out)
+        assert doc["consistent"] is True and len(doc["orbit_counts"]) == 65
 
 
 class TestDynamics:
@@ -578,6 +578,13 @@ class TestErrors:
         assert code == 3 and out == ""
         assert "190 words" in err
 
+    @pytest.mark.parametrize("command", ["orbits", "hecke", "gelfand"])
+    def test_deep_ball_refused_in_a_short_message(self, groups, capsys, command):
+        argv = [command, "--group", groups["s3"], "--radius", str(10**11)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "more than 2000000 words" in err and len(err.encode()) < 200
+
     def test_noncommutative_gelfand_answers_past_the_cap(self, groups, capsys, monkeypatch):
         # the verdict is read off radius 3, so the radius-6 ball is never built
         argv = ["gelfand", "--group", groups["c3"], "--radius", "6"]
@@ -724,8 +731,3 @@ class TestImports:
         if "csv" in argv:
             # the csv table prints no generator hash
             assert "hashlib" not in added
-
-    def test_cli_leaves_coxeter_out(self):
-        loaded = self.loaded("import building_forge.cli")
-        assert "building_forge.cli" in loaded
-        assert "building_forge.coxeter" not in loaded

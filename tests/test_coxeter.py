@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from building_forge.coxeter import (
+from coxeter import (
     ApartmentVector,
     DegenerateSegment,
     Sector,

@@ -104,21 +104,14 @@ class TestFindStronglyRegular:
         assert len({(g.base_image, cls) for g, cls in found}) == 1
 
 
-class TestCountDigits:
-    @pytest.mark.parametrize("F, last", [(C3, 14283), (make_trivial(5), 7141)])
-    def test_deepest_printable_depth(self, F, last, monkeypatch):
-        # d (d-1)^(depth-1) first passes 10^4300 at depth last + 1; the
-        # refusal comes before the first view runs, which a depth that
-        # passes reaches
-        def first_view(F, depth):
-            raise LookupError(depth)
-
-        monkeypatch.setattr(gelfand, "two_transitivity_on_ends_proxy", first_view)
-        with pytest.raises(LookupError):
-            main_theorem_report(F, last)
-        for depth in (last + 1, 10**11):
-            with pytest.raises(BudgetExhausted, match=f"{gelfand.COUNT_DIGITS} digits"):
-                main_theorem_report(F, depth)
+class TestReportAtAnyDepth:
+    @pytest.mark.parametrize("depth", [65, 10**11])
+    def test_counts_listed_to_the_count_depth(self, depth):
+        v = main_theorem_report(C3, depth)
+        assert v.consistent and v.depth == depth
+        assert v.orbit_counts == main_theorem_report(C3, 64).orbit_counts
+        doc = v.to_dict()
+        assert doc["format_version"] == 2 and len(doc["orbit_counts"]) == 65
 
 
 class TestWitness:

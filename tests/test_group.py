@@ -1,6 +1,7 @@
 """Universal groups: legality, stabilizer orbits, proxies."""
 
 import gc
+import time
 from contextlib import nullcontext
 
 import pytest
@@ -253,16 +254,16 @@ class TestOrbits:
         assert t.counts == (1, 3, 6, 12)
 
     def test_growth_verdict_is_two_transitivity(self):
-        # from radius 3 the window is constant iff F is 2-transitive and
-        # strictly increasing otherwise, so no third verdict exists
+        # from radius 2 the last sphere has one class iff F is 2-transitive
         for degree in (3, 4, 5):
             for F in subgroups_of_symmetric(degree):
-                for radius in (3, 4, 7):
+                for radius in (2, 3, 4, 7):
                     g = orbit_count_growth(F, radius)
                     assert g.stabilized == F.two_transitive, (F.generators, radius)
                     assert g.verdict in ("stabilized", "growing")
-        with pytest.raises(ValueError):
-            orbit_count_growth(C3, 2)
+        for radius in (0, 1):
+            with pytest.raises(ValueError):
+                orbit_count_growth(C3, radius)
 
     def test_two_transitive_local_group_gives_single_orbits(self):
         for F in (S3, S4):
@@ -328,20 +329,25 @@ class TestPairOrbitCount:
 
 class TestBurgerMozes:
     """U(F) is 2-transitive on ends iff F is 2-transitive (Burger-Mozes,
-    Publ. IHES 92, 2000); the proxy must agree at every depth."""
+    Publ. IHES 92, 2000); both boundary verdicts must agree at every depth,
+    past ``COUNT_DEPTH`` too."""
+
+    @staticmethod
+    def check_every_depth(F):
+        for n in range(2, 71):
+            assert two_transitivity_on_ends_proxy(F, n) == F.two_transitive, (F, n)
+            assert orbit_count_growth(F, n).stabilized == F.two_transitive, (F, n)
 
     def test_subgroups_of_s3_and_s4(self):
         assert len(S3_SUBGROUPS) + len(S4_SUBGROUPS) == 36
         for F in S3_SUBGROUPS + S4_SUBGROUPS:
-            for n in range(2, 6):
-                assert two_transitivity_on_ends_proxy(F, n) == F.two_transitive, (F, n)
+            self.check_every_depth(F)
 
     def test_two_generated_subgroups_of_s5(self):
         s5_subgroups = subgroups_of_symmetric(5)
         assert len(s5_subgroups) == 156
         for F in s5_subgroups:
-            for n in range(2, 6):
-                assert two_transitivity_on_ends_proxy(F, n) == F.two_transitive, (F, n)
+            self.check_every_depth(F)
 
 
 class TestRelabeling:
@@ -399,6 +405,18 @@ class TestBallCap:
         monkeypatch.setattr(group, "_BALL_WORD_CAP", 189)
         with pytest.raises(BudgetExhausted):
             orbit_table(C3, 6)
+
+    def test_refused_without_building_the_count(self):
+        # the exact count is printed up to radius 21, the cap's bit length;
+        # past it the ball is over the cap whatever its size
+        assert group._BALL_WORD_CAP.bit_length() == 21
+        with pytest.raises(BudgetExhausted, match="has 6291454 words"):
+            orbit_table(C3, 21)
+        for radius in (22, 10**11):
+            start = time.perf_counter()
+            with pytest.raises(BudgetExhausted, match="has more than 2000000 words"):
+                orbit_table(C3, radius)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestOrbitTableCollector:

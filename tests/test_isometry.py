@@ -200,6 +200,15 @@ class TestExactClassification:
         with pytest.raises(RuntimeError, match="does not extend it: not an automorphism"):
             classify_isometry(g)
 
+    def test_coinciding_axis_ends_refused(self):
+        # two states, each permuting the colors: g(x0) = (0 2 1 0) and
+        # g(g(x0)) claim a translation of length 4 with x0 on the axis, but
+        # g^-1(x0) = (0 2) heads for the same end (0 2 1)^inf as g(x0)
+        table = {0: ((2, 1, 0), (1, 1, 1)), 1: ((2, 0, 1), (0, 0, 1))}
+        g = Portrait(3, TreeVertex((0, 2, 1, 0)), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
+        with pytest.raises(RuntimeError, match="axis ends coincide: not an automorphism"):
+            classify_isometry(g)
+
 
 class TestFromSegment:
     def test_translation_certificate(self):
