@@ -271,7 +271,7 @@ def parse_automorphism(spec: str, degree: int) -> Portrait:
         if not isinstance(exceptions, dict) or {type(v) for v in exceptions.values()} - {str}:
             raise ValueError("exceptions must map words to permutation strings")
         table = {parse_word(k): parse_perm(v, degree) for k, v in exceptions.items()}
-        return tree.TablePortrait(tree.TreeVertex(parse_word(base)), table, degree, extension)
+        return tree.TablePortrait(parse_word(base), table, degree, extension)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ParseError(f"bad automorphism spec {spec!r}: {exc}")
 
@@ -303,7 +303,7 @@ def cmd_dynamics(args) -> int:
     if outside is not None:
         raise ParseError(
             f"automorphism {args.auto!r} is not in U(F): its local permutation "
-            f"at the vertex {outside.word} is not in the group"
+            f"at the vertex {outside} is not in the group"
         )
     cls = tree.classify_isometry(a)
     ends = tree.iterate_on_end(a, cls, xi, args.nmax)
@@ -346,7 +346,7 @@ def cmd_find_sr(args) -> int:
         "command": "find-sr",
         "degree": F.degree,
         "budget": args.budget,
-        "base_image": word_str(g.base_image.word),
+        "base_image": word_str(g.base_image),
         "portrait_support": "color-preserving transport (empty exception table)",
         "translation_length": cls.length,
         "axis_prefix_plus": word_str(cls.axis.end_plus.word_prefix(10)),

@@ -6,8 +6,8 @@ Three independently computed views of the same dichotomy:
   pairs of ends, per-sphere orbit growth, fixed ends of a generating
   family);
 * the commutativity scan of the orbit algebra;
-* an explicit pair of hyperbolic elements witnessing noncommutativity,
-  certified by a finite, exact orbit-set disjointness
+* an explicit pair of hyperbolic color transports witnessing
+  noncommutativity, certified by a finite, exact orbit-set disjointness
 
       K(ab x0)  disjoint from  K b K(a x0),
 
@@ -36,19 +36,14 @@ from .group import (
 )
 from .hecke import HeckeVerdict, StructureConstants, commutativity_report
 from .tree import (
-    ROOT,
     IsometryClass,
     Portrait,
     TreeApartment,
-    TreeEnd,
-    TreeVertex,
-    least_tail,
-    parallel_transport,
     pigeonhole_find_hyperbolic,
     standard_apartment,
     transport_between,
 )
-from .words import BudgetExhausted, Word, sphere_words
+from .words import BudgetExhausted, Word, reduce_word, sphere_words
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +65,13 @@ def line_pigeonhole_oracles(F: LocalGroup, line: TreeApartment, window: int):
         # color of the edge between positions s and s+1
         return line.end_plus.letter(L + s) if s >= 0 else line.end_minus.letter(L - s - 1)
 
-    def labels(v: TreeVertex) -> Word:
+    def labels(v: Word) -> Word:
         t = line.coordinate_of(v)
         if t is None:
             raise ValueError("marked vertex is not on the line")
         return tuple(letter_at(s) for s in range(t - window, t + window))
 
-    def transporter(src: TreeVertex, dst: TreeVertex):
+    def transporter(src: Word, dst: Word):
         return transport_between(src, dst, F.degree)
 
     return labels, transporter
@@ -101,49 +96,41 @@ def find_strongly_regular(F: LocalGroup, budget: int) -> tuple[Portrait, Isometr
 
 
 class WitnessPair(NamedTuple):
-    """Two hyperbolic elements whose coset products separate.
+    """Two hyperbolic color transports whose coset products separate.
 
-    ``certificate`` holds the two exact vertex-orbit sets whose disjointness
-    was verified; ``separation_depth`` is the prefix depth at which the
-    chosen end leaves the stabilizer shadow of the first axis boundary.
+    A color transport is named by its word: t_u(y) = u.y reduced (Tits
+    1970), so ``alpha`` = (0 1)^m and ``beta`` = b^n are also the images of
+    the base vertex.  ``certificate`` holds the two exact vertex-orbit sets
+    whose disjointness was verified; ``separation_depth`` is the prefix
+    depth at which b leaves the stabilizer shadow of the ends of alpha's
+    axis.
     """
 
-    alpha: Portrait
-    beta: Portrait
+    alpha: Word
+    beta: Word
     m: int
     n: int
     certificate: tuple[frozenset[Word], frozenset[Word]]
     separation_depth: int
 
-    @property
-    def alpha_image(self) -> Word:
-        return self.alpha.image(ROOT).word
-
-    @property
-    def beta_image(self) -> Word:
-        return self.beta.image(ROOT).word
-
 
 _SEPARATION_CAP = 12
 
 
-def separation_end(F: LocalGroup, axis) -> tuple[TreeEnd, int]:
-    """An end whose depth-r shadow avoids the stabilizer shadow of the axis
-    boundary, with the smallest such r.
+def separation_end(F: LocalGroup) -> tuple[Word, int]:
+    """The least sphere word outside the stabilizer shadow of the two ends
+    of t_(0 1)'s axis, with the smallest depth r of such a word.
 
-    Cone neighborhoods on a tree are prefix-agreement sets, so it suffices
-    to find a sphere word outside the stabilizer orbits of the two depth-r
-    axis prefixes and point an eventually periodic end through it.
+    That axis is the standard apartment, whose ends read 0 1 0 1 ... and
+    1 0 1 0 ...  Cone neighborhoods on a tree are prefix-agreement sets, so
+    every end through the returned word avoids the shadow at depth r.
     """
     degree = F.degree
     for r in range(1, _SEPARATION_CAP + 1):
-        shadow = k_orbit(F, axis.end_plus.word_prefix(r)) | k_orbit(
-            F, axis.end_minus.word_prefix(r)
-        )
+        shadow = k_orbit(F, ((0, 1) * r)[:r]) | k_orbit(F, ((1, 0) * r)[:r])
         sphere_size = degree * (degree - 1) ** (r - 1)
         if len(shadow) < sphere_size:
-            outside = min(w for w in sphere_words(degree, r) if w not in shadow)
-            return TreeEnd(outside, least_tail(outside[-1], degree)), r
+            return min(w for w in sphere_words(degree, r) if w not in shadow), r
     raise RuntimeError(
         "no separating end within the depth cap; the stabilizer shadows cover "
         "every sphere tried"
@@ -154,16 +141,18 @@ _CERTIFICATE_CAP = 500_000
 
 
 def certify_disjoint(
-    F: LocalGroup, alpha: Portrait, beta: Portrait
+    F: LocalGroup, alpha: Word, beta: Word
 ) -> tuple[bool, frozenset[Word], frozenset[Word]]:
-    """Exact vertex-level disjointness check for the pair (alpha, beta)."""
-    left = k_orbit(F, alpha.image(beta.image(ROOT)).word)
-    mid = k_orbit(F, alpha.image(ROOT).word)
+    """Exact vertex-level disjointness of K(ab x0) and K b K(a x0) for the
+    transports a = t_alpha and b = t_beta, whose images are read by word
+    reduction."""
+    left = k_orbit(F, reduce_word(alpha, beta))
+    mid = k_orbit(F, alpha)
     if len(left) + len(mid) > _CERTIFICATE_CAP:
         raise BudgetExhausted("certificate orbit sets exceed the size cap")
     right: set[Word] = set()
     for y in mid:
-        right |= k_orbit(F, beta.image(TreeVertex(y)).word)
+        right |= k_orbit(F, reduce_word(beta, y))
         if len(right) > _CERTIFICATE_CAP:
             raise BudgetExhausted("certificate orbit sets exceed the size cap")
     return left.isdisjoint(right), frozenset(left), frozenset(right)
@@ -177,15 +166,15 @@ def find_witness(
     Short-circuits to None on the strongly transitive side (no witness can
     exist there), as certified by the boundary proxy: ``strong`` is its
     answer when the caller has it already (it reads the same at every depth
-    >= 2), else the proxy runs at depth 3.  Otherwise
-    builds a hyperbolic element along one apartment, points a second one at
-    an end outside the stabilizer shadow of the first axis boundary, and
-    scans powers (m, n) in lexicographic (m+n, m) order for an exact
-    vertex-orbit disjointness certificate.  On this side a search that runs
-    out of ``budget`` raises BudgetExhausted rather than answer None, which
-    is the strong side's answer: the pigeonhole walk finds no hyperbolic
-    element, a certificate outgrows its cap, or no pair of powers up to
-    ``budget`` is certified.
+    >= 2), else the proxy runs at depth 3.  Otherwise a = t_(0 1), and b is
+    the transport by the separating word of ``separation_end``, extended by
+    the least color other than its last while it is shorter than 2 or starts
+    and ends with one color, so that b is hyperbolic and its powers are
+    reduced.  Powers (m, n) up to ``budget`` are scanned in lexicographic
+    (m+n, m) order for an exact vertex-orbit disjointness certificate.  On
+    this side a search that runs out of ``budget`` raises BudgetExhausted
+    rather than answer None, which is the strong side's answer: a
+    certificate outgrows its cap, or no pair of powers is certified.
 
     Known gap: the None on the strong side is read off the pair proxy, not
     derived here, so on that side the report's witness view copies the
@@ -195,19 +184,15 @@ def find_witness(
         strong = two_transitivity_on_ends_proxy(F, 3)
     if strong:
         return None
-    a, certificate = find_strongly_regular(F, budget)
-    target, r = separation_end(F, certificate.axis)
-    word = target.word_prefix(max(r, 2))
-    if word[0] == word[-1]:
-        extra = min(x for x in range(F.degree) if x not in (word[-1], word[0]))
-        word = word + (extra,)
-    b = parallel_transport(word, F.degree)
+    b, r = separation_end(F)
+    while len(b) < 2 or b[0] == b[-1]:
+        b += (min(x for x in range(F.degree) if x != b[-1]),)
     for total in range(2, 2 * budget + 1):
         for m in range(1, total):
             n = total - m
             if m > budget or n > budget:
                 continue
-            alpha, beta = a.power(m), b.power(n)
+            alpha, beta = (0, 1) * m, b * n
             ok, left, right = certify_disjoint(F, alpha, beta)
             if ok:
                 return WitnessPair(alpha, beta, m, n, (left, right), r)
@@ -223,9 +208,9 @@ def evaluate_noncommutativity(
     phi, psi the indicators of the alpha and beta orbits.  For a valid
     witness the first is >= 1 and the second is 0 (counting normalization).
     """
-    i_alpha = sc.class_of_word(w.alpha_image)
-    i_beta = sc.class_of_word(w.beta_image)
-    k_star = sc.class_of_word(w.alpha.image(TreeVertex(w.beta_image)).word)
+    i_alpha = sc.class_of_word(w.alpha)
+    i_beta = sc.class_of_word(w.beta)
+    k_star = sc.class_of_word(reduce_word(w.alpha, w.beta))
     return sc.n(i_alpha, i_beta, k_star), sc.n(i_beta, i_alpha, k_star)
 
 
@@ -263,8 +248,8 @@ class Verdict(NamedTuple):
             doc["witness"] = {
                 "m": self.witness.m,
                 "n": self.witness.n,
-                "alpha_image": " ".join(map(str, self.witness.alpha_image)),
-                "beta_image": " ".join(map(str, self.witness.beta_image)),
+                "alpha_image": " ".join(map(str, self.witness.alpha)),
+                "beta_image": " ".join(map(str, self.witness.beta)),
                 "separation_depth": self.witness.separation_depth,
                 "certificate_sizes": [
                     len(self.witness.certificate[0]),

@@ -14,8 +14,8 @@ orbits on spheres and on pairs of arms without a table.
 
 Orbit tables carry canonical (lexicographically smallest) representatives so
 that they are independent of traversal order.  Orbits are sets of color
-words (``words``); only the functions that take or make a portrait or an
-end load ``tree``.
+words (``words``); only the functions that make or classify a portrait
+load ``tree``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .perms import Perm
 from .words import BudgetExhausted, Word
 
 if TYPE_CHECKING:
-    from .tree import Portrait, TreeEnd, TreeVertex
+    from .tree import Portrait, TreeEnd
 
 
 class ParseError(ValueError):
@@ -80,7 +80,7 @@ class LocalGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def first_outside(self, g: Portrait) -> TreeVertex | None:
+    def first_outside(self, g: Portrait) -> Word | None:
         """The shortlex-first vertex whose local permutation under g is not
         in F, or None when g lies in U(F).
 
@@ -89,15 +89,13 @@ class LocalGroup:
         visits each (state, last color) pair once meets the first offending
         vertex; it ends because a portrait has finitely many states.
         """
-        from .tree import TreeVertex  # loaded already by whoever built g
-
         queue = deque([((), g.start)])
         seen = set()
         while queue:
             w, state = queue.popleft()
             moves = [g.step(state, c) for c in range(g.degree)]
             if tuple(e for e, _ in moves) not in self:
-                return TreeVertex(w)
+                return w
             for c, (_, nxt) in enumerate(moves):
                 if (not w or c != w[-1]) and (nxt, c) not in seen:
                     seen.add((nxt, c))

@@ -1,10 +1,12 @@
 """The (q+1)-regular tree with a legal edge coloring.
 
-Vertices are non-backtracking words over the colors {0, ..., q} (see
-``words``), rooted at a fixed base vertex (the empty word).  The edge
-between a word w and its extension w + (c,) carries color c; consequently
-the q+1 edges at any vertex carry distinct colors, which is exactly a legal
-coloring.
+A vertex is its word: a non-backtracking tuple over the colors
+{0, ..., q} (see ``words``), read from a fixed base vertex, ``ROOT`` = ().
+The edge between a word w and its extension w + (c,) carries color c;
+consequently the q+1 edges at any vertex carry distinct colors, which is
+exactly a legal coloring.  Words made inside this module are non-backtracking
+by construction; a ``TablePortrait``, the form in which a portrait arrives
+from outside, checks its base image.
 
 Ends are eventually periodic infinite words, kept in a normal form (shortest
 prefix, primitive period).  An apartment is the bi-infinite geodesic spanned
@@ -19,7 +21,8 @@ portrait, products and inverses included, is a finite-state machine that
 reads a word's colors and emits its image's; this is what makes exact end
 images and axis ends computable: once a walk's state repeats at the same
 phase of the (eventually periodic) input ray, the emitted image letters
-provably cycle.
+provably cycle.  The color transport t_u, the portrait with base image u
+and every local permutation the identity, maps a word y to u.y reduced.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .words import (
     is_nonbacktracking,
     lcp_len,
     reduce_word,
-    word_distance,
 )
 
 
@@ -84,54 +86,7 @@ class _Value:
         return self.__class__, self._key()
 
 
-class TreeVertex(_Value):
-    """A vertex: a non-backtracking color word from the base vertex."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Word = ()):
-        w = tuple(int(c) for c in word)
-        if any(c < 0 for c in w):
-            raise ValueError("colors are non-negative integers")
-        if not is_nonbacktracking(w):
-            raise ValueError(f"backtracking word {w}")
-        object.__setattr__(self, "word", w)
-
-    def _key(self) -> tuple:
-        return (self.word,)
-
-    def __len__(self) -> int:
-        return len(self.word)
-
-    @property
-    def parent(self) -> "TreeVertex":
-        if not self.word:
-            raise ValueError("the base vertex has no parent")
-        return TreeVertex(self.word[:-1])
-
-    def neighbor(self, c: int) -> "TreeVertex":
-        if c < 0:
-            raise ValueError("colors are non-negative integers")
-        w = self.word
-        return _vertex(w[:-1] if w and w[-1] == c else w + (c,))
-
-    def distance(self, other: "TreeVertex") -> int:
-        return word_distance(self.word, other.word)
-
-    def __repr__(self) -> str:
-        return f"TreeVertex({' '.join(map(str, self.word))})"
-
-
-def _vertex(word: Word) -> TreeVertex:
-    """A vertex for a word derived from a valid vertex, unchecked: the
-    public constructor re-validates the whole word, which makes walks
-    quadratic in their length."""
-    v = object.__new__(TreeVertex)
-    object.__setattr__(v, "word", word)
-    return v
-
-
-ROOT = TreeVertex(())
+ROOT: Word = ()
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +136,6 @@ class TreeEnd(_Value):
         reps = -(-(n - len(self.prefix)) // len(self.period))
         return (self.prefix + self.period * reps)[: max(n, 0)]
 
-    def vertex_at(self, n: int) -> TreeVertex:
-        if n < 0:
-            raise ValueError("rays are indexed by non-negative depth")
-        return _vertex(self.word_prefix(n))
-
     def agreement_depth(self, other: "TreeEnd") -> int:
         """Length of the common prefix of the two infinite words.
 
@@ -223,13 +173,6 @@ def _end(prefix: Word, period: Word) -> TreeEnd:
     return e
 
 
-def least_tail(avoid: int, degree: int) -> Word:
-    """The least 2-periodic tail (a, b) that can follow the color ``avoid``:
-    a is the least color other than ``avoid`` and b the least other than a."""
-    a = min(x for x in range(degree) if x != avoid)
-    return a, min(x for x in range(degree) if x != a)
-
-
 class TreeApartment(_Value):
     """The bi-infinite geodesic spanned by two distinct ends.
 
@@ -253,15 +196,14 @@ class TreeApartment(_Value):
     def __repr__(self) -> str:
         return f"TreeApartment(end_minus={self.end_minus!r}, end_plus={self.end_plus!r})"
 
-    def vertex_at(self, t: int) -> TreeVertex:
+    def vertex_at(self, t: int) -> Word:
         if t >= 0:
-            return self.end_plus.vertex_at(self.branch_depth + t)
-        return self.end_minus.vertex_at(self.branch_depth - t)
+            return self.end_plus.word_prefix(self.branch_depth + t)
+        return self.end_minus.word_prefix(self.branch_depth - t)
 
-    def project(self, v: TreeVertex) -> tuple[int, int]:
-        """(coordinate of the projection of v onto the line, d(v, line))."""
+    def project(self, w: Word) -> tuple[int, int]:
+        """(coordinate of the projection of w onto the line, d(w, line))."""
         L = self.branch_depth
-        w = v.word
         mp = lcp_len(w, self.end_plus.word_prefix(len(w)))
         mm = lcp_len(w, self.end_minus.word_prefix(len(w)))
         if mp > L:
@@ -270,12 +212,12 @@ class TreeApartment(_Value):
             return -(mm - L), len(w) - mm
         return 0, len(w) + L - 2 * min(mp, L)
 
-    def coordinate_of(self, v: TreeVertex) -> int | None:
-        coord, dist = self.project(v)
+    def coordinate_of(self, w: Word) -> int | None:
+        coord, dist = self.project(w)
         return coord if dist == 0 else None
 
-    def __contains__(self, v: TreeVertex) -> bool:
-        return self.coordinate_of(v) is not None
+    def __contains__(self, w: Word) -> bool:
+        return self.coordinate_of(w) is not None
 
 
 def standard_apartment() -> TreeApartment:
@@ -324,7 +266,7 @@ class Portrait:
     between threads.
     """
 
-    def __init__(self, degree: int, base_image: TreeVertex, start, step: Callable):
+    def __init__(self, degree: int, base_image: Word, start, step: Callable):
         self.degree = degree
         self.base_image = base_image
         self.start = start
@@ -338,12 +280,12 @@ class Portrait:
             letters.append(e)
         return letters, state
 
-    def sigma(self, v: TreeVertex) -> Perm:
-        state = self._walk(v.word)[1]
+    def sigma(self, w: Word) -> Perm:
+        state = self._walk(w)[1]
         return tuple(self.step(state, c)[0] for c in range(self.degree))
 
-    def image(self, v: TreeVertex) -> TreeVertex:
-        return _vertex(reduce_word(self.base_image.word, self._walk(v.word)[0]))
+    def image(self, w: Word) -> Word:
+        return reduce_word(self.base_image, self._walk(w)[0])
 
     # -- algebra -----------------------------------------------------------
     def compose(self, other: "Portrait") -> "Portrait":
@@ -356,7 +298,7 @@ class Portrait:
         if self.degree != other.degree:
             raise ValueError("composed portraits must share a degree")
         g_step, h_step = self.step, other.step
-        u = other.base_image.word
+        u = other.base_image
         letters, states = [], [self.start]
         for c in u:
             e, s = g_step(states[-1], c)
@@ -373,7 +315,7 @@ class Portrait:
             e, gs = g_step(gs, e)
             return e, (hs, None, gs)
 
-        base = _vertex(reduce_word(self.base_image.word, letters))
+        base = reduce_word(self.base_image, letters)
         return Portrait(self.degree, base, (other.start, len(u), None), step)
 
     def __mul__(self, other: "Portrait") -> "Portrait":
@@ -392,7 +334,7 @@ class Portrait:
                     return x, nxt
 
         fixing = Portrait(degree, ROOT, self.start, step)
-        undo = TablePortrait(_vertex(self.base_image.word[::-1]), {}, degree, EXTEND_SPARSE)
+        undo = TablePortrait(self.base_image[::-1], {}, degree, EXTEND_SPARSE)
         return fixing.compose(undo)
 
     def power(self, n: int) -> "Portrait":
@@ -417,7 +359,7 @@ class Portrait:
         """
         pre_len = len(end.prefix)
         per_len = len(end.period)
-        u = list(self.base_image.word)
+        u = list(self.base_image)
         step, state = self.step, self.start
         # seen maps a key to the image length when it was recorded; keys are
         # recorded only while extending, so a recorded image is a prefix of
@@ -461,11 +403,16 @@ class TablePortrait(Portrait):
 
     def __init__(
         self,
-        base_image: TreeVertex,
+        base_image: Sequence[int],
         table: dict | None = None,
         degree: int = 3,
         extension: str = EXTEND_SPARSE,
     ):
+        base_image = tuple(int(c) for c in base_image)
+        if any(c < 0 for c in base_image):
+            raise ValueError("colors are non-negative integers")
+        if not is_nonbacktracking(base_image):
+            raise ValueError(f"backtracking word {base_image}")
         if degree < 3:
             raise ValueError("thickness requires degree q+1 >= 3")
         if extension not in (EXTEND_SPARSE, EXTEND_CONSTANT):
@@ -474,7 +421,7 @@ class TablePortrait(Portrait):
         self._extend = _EXTENSIONS[extension]
         tbl: dict[Word, Perm] = {}
         for key, perm in (table or {}).items():
-            w = key.word if isinstance(key, TreeVertex) else tuple(key)
+            w = tuple(key)
             if any(not 0 <= c < degree for c in w):
                 raise ValueError(f"table key {w} uses colors outside the degree")
             if not is_nonbacktracking(w):
@@ -486,12 +433,12 @@ class TablePortrait(Portrait):
         self._table = tbl
         self._table_depth = max((len(w) for w in tbl), default=-1)
         self._identity = identity(degree)
-        if any(c >= degree for c in base_image.word):
+        if any(c >= degree for c in base_image):
             raise ValueError("base image uses colors outside the degree")
         start = (() if self._table_depth > 0 else None, tbl.get((), self._identity))
         super().__init__(degree, base_image, start, self._step)
         for w in sorted(tbl, key=len):
-            if w and tbl[w][w[-1]] != self.sigma(_vertex(w[:-1]))[w[-1]]:
+            if w and tbl[w][w[-1]] != self.sigma(w[:-1])[w[-1]]:
                 raise ValueError(f"legality cocycle violated at table vertex {w}")
 
     def _step(self, state: tuple, c: int) -> tuple:
@@ -512,7 +459,7 @@ class TablePortrait(Portrait):
         """A color transport's power is one transport: t_u o t_v is the
         transport by the path u then v, so t_u^n is by u^n reduced."""
         if n >= 1 and all(p == self._identity for p in self._table.values()):
-            return parallel_transport(reduce_word((), self.base_image.word * n), self.degree)
+            return parallel_transport(reduce_word((), self.base_image * n), self.degree)
         return super().power(n)
 
 
@@ -526,17 +473,17 @@ def parallel_transport(word: Sequence[int], degree: int) -> TablePortrait:
     translation length is the length of the word after stripping equal
     outer letters: (2, 0, 1, 2) translates its axis by 2.
     """
-    return TablePortrait(TreeVertex(tuple(word)), {}, degree, EXTEND_SPARSE)
+    return TablePortrait(word, {}, degree, EXTEND_SPARSE)
 
 
-def constant_portrait(base_image: TreeVertex, sigma: Perm, degree: int) -> TablePortrait:
+def constant_portrait(base_image: Sequence[int], sigma: Perm, degree: int) -> TablePortrait:
     """A portrait applying the same local permutation at every vertex."""
     return TablePortrait(base_image, {(): sigma}, degree, EXTEND_CONSTANT)
 
 
-def transport_between(src: TreeVertex, dst: TreeVertex, degree: int) -> TablePortrait:
+def transport_between(src: Word, dst: Word, degree: int) -> TablePortrait:
     """The color-preserving automorphism with src -> dst."""
-    w = reduce_word(dst.word, tuple(reversed(src.word)))
+    w = reduce_word(dst, src[::-1])
     return parallel_transport(w, degree)
 
 
@@ -547,17 +494,17 @@ def transport_between(src: TreeVertex, dst: TreeVertex, degree: int) -> TablePor
 class IsometryClass(NamedTuple):
     kind: str  # "elliptic" | "inversion" | "hyperbolic"
     length: int = 0
-    fixed_vertex: TreeVertex | None = None
-    fixed_edge: tuple[TreeVertex, TreeVertex] | None = None
+    fixed_vertex: Word | None = None
+    fixed_edge: tuple[Word, Word] | None = None
     axis: TreeApartment | None = None
-    axis_vertex: TreeVertex | None = None
+    axis_vertex: Word | None = None
 
     @property
     def is_hyperbolic(self) -> bool:
         return self.kind == "hyperbolic"
 
 
-def _attracting_end(g: Portrait, v: TreeVertex, gv: TreeVertex) -> TreeEnd:
+def _attracting_end(g: Portrait, v: Word, gv: Word) -> TreeEnd:
     """lim g^n(v) for hyperbolic g, with v the projection of the base
     vertex onto the axis and gv = g(v).
 
@@ -568,10 +515,10 @@ def _attracting_end(g: Portrait, v: TreeVertex, gv: TreeVertex) -> TreeEnd:
     every later chunk, and its first repeat closes the period; states are
     finitely many, so the repeat comes.
     """
-    u = list(v.word)
-    if len(gv.word) <= len(u) or gv.word[: len(u)] != v.word:
+    u = list(v)
+    if len(gv) <= len(u) or gv[: len(u)] != v:
         raise RuntimeError("the axis vertex image does not extend it: not an automorphism")
-    chunk = gv.word[len(u):]
+    chunk = gv[len(u):]
     state = g._walk(u)[1]
     seen: dict = {}
     while True:
@@ -605,12 +552,12 @@ def classify_isometry(g: Portrait) -> IsometryClass:
     of g^n(v) and g^-n(v).
     """
     gx = g.image(ROOT)
-    d0 = len(gx.word)
-    length = len(g.image(gx).word) - d0
+    d0 = len(gx)
+    length = len(g.image(gx)) - d0
     if length > 0:
-        v = _vertex(gx.word[: (d0 - length) // 2])
+        v = gx[: (d0 - length) // 2]
         gv = g.image(v)
-        if gv.word != gx.word[: len(v.word) + length]:
+        if gv != gx[: len(v) + length]:
             raise RuntimeError("the axis vertex is not translated: not an automorphism")
         inv = g.inverse()
         ends = _attracting_end(inv, v, inv.image(v)), _attracting_end(g, v, gv)
@@ -618,13 +565,13 @@ def classify_isometry(g: Portrait) -> IsometryClass:
             raise RuntimeError("the two axis ends coincide: not an automorphism")
         axis = TreeApartment(*ends)
         return IsometryClass(kind="hyperbolic", length=length, axis=axis, axis_vertex=v)
-    v = _vertex(gx.word[: d0 // 2])
+    v = gx[: d0 // 2]
     gv = g.image(v)
     if d0 % 2 == 0:
         if gv != v:
             raise RuntimeError("the middle vertex is not fixed: not an automorphism")
         return IsometryClass(kind="elliptic", length=0, fixed_vertex=v)
-    if gv.word != gx.word[: len(v.word) + 1] or g.image(gv) != v:
+    if gv != gx[: len(v) + 1] or g.image(gv) != v:
         raise RuntimeError("the middle edge is not inverted: not an automorphism")
     return IsometryClass(kind="inversion", length=0, fixed_edge=(v, gv))
 
@@ -693,7 +640,7 @@ def iterate_on_end(
 
 
 def segment_through_apartment(
-    a: Portrait, cls: IsometryClass, x0: TreeVertex, x: TreeVertex, n: int
+    a: Portrait, cls: IsometryClass, x0: Word, x: Word, n: int
 ) -> list[int]:
     """For m = 0..n, the length of the geodesic [x0, a^m(x)] intersected
     with the axis of a, whose classification is ``cls``.
@@ -710,12 +657,12 @@ def segment_through_apartment(
 
 
 def pigeonhole_find_hyperbolic(
-    line,
-    labels: Callable[[TreeVertex], object],
-    transporter: Callable[[TreeVertex, TreeVertex], Portrait | None],
+    line: TreeApartment,
+    labels: Callable[[Word], object],
+    transporter: Callable[[Word, Word], Portrait | None],
     budget: int,
 ) -> tuple[Portrait, IsometryClass]:
-    """Find a hyperbolic element by label repetition along a line or ray.
+    """Find a hyperbolic element by label repetition along a line.
 
     Walks the marked vertices v_t = line.vertex_at(t) for t = 0..budget;
     when two positions s < t carry equal labels, asks the transporter for a

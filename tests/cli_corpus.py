@@ -80,7 +80,7 @@ def command_lines() -> list[list[str]]:
             lines += _with_formats(["hecke", "--group", group, "--radius", str(radius)])
         lines += _with_formats(["gelfand", "--group", group])
         lines += _with_formats(["gelfand", "--group", group, "--radius", "4"])
-        for budget in (0, 2):
+        for budget in (0, 1, 2):
             lines += _with_formats(["gelfand", "--group", group, "--budget", str(budget)])
         lines.append(["gelfand", "--group", group, "--radius", "2"])
         for budget in (0, 1, 3):

@@ -33,12 +33,18 @@ from building_forge.tree import (
     TablePortrait,
     TreeApartment,
     TreeEnd,
-    TreeVertex,
     _Value,
     classify_isometry,
     parallel_transport,
 )
-from building_forge.words import OutOfBudget, Word, lcp_len, reduce_word, sphere_words
+from building_forge.words import (
+    OutOfBudget,
+    Word,
+    lcp_len,
+    reduce_word,
+    sphere_words,
+    word_distance,
+)
 
 # ---------------------------------------------------------------------------
 # constructions no command runs
@@ -56,11 +62,11 @@ def ball_words(degree: int, radius: int) -> Iterator[Word]:
         yield from sphere_words(degree, n)
 
 
-def geodesic(a: TreeVertex, b: TreeVertex) -> list[TreeVertex]:
+def geodesic(a: Word, b: Word) -> list[Word]:
     """The vertex path from a to b."""
-    k = lcp_len(a.word, b.word)
-    down = [TreeVertex(a.word[:i]) for i in range(len(a.word), k, -1)]
-    up = [TreeVertex(b.word[:i]) for i in range(k, len(b.word) + 1)]
+    k = lcp_len(a, b)
+    down = [a[:i] for i in range(len(a), k, -1)]
+    up = [b[:i] for i in range(k, len(b) + 1)]
     return down + up
 
 
@@ -84,10 +90,8 @@ class ConeNeighborhood(_Value):
     def contains_end(self, xi: TreeEnd) -> bool:
         return xi.word_prefix(self.r) == self.ray_target.word_prefix(self.r)
 
-    def contains_vertex(self, v: TreeVertex) -> bool:
-        return len(v.word) > self.r and v.word[: self.r] == self.ray_target.word_prefix(
-            self.r
-        )
+    def contains_vertex(self, w: Word) -> bool:
+        return len(w) > self.r and w[: self.r] == self.ray_target.word_prefix(self.r)
 
 
 def identity_portrait(degree: int) -> TablePortrait:
@@ -175,7 +179,7 @@ def convolve(phi: KernelFunction, psi: KernelFunction, sc: StructureConstants) -
     return KernelFunction.from_dict(out, sc)
 
 
-def retraction(a: TreeApartment, c: TreeEnd, x: TreeVertex) -> int:
+def retraction(a: TreeApartment, c: TreeEnd, x: Word) -> int:
     """Retraction onto the apartment based at one of its ends.
 
     The ray [x, c) merges into the line at the projection p of x; the image
@@ -201,7 +205,7 @@ def busemann_beta_by_retraction(a: TreeApartment, c: TreeEnd, g: Portrait) -> in
     if not g.fixes_end(c):
         raise NotInStabilizer("the portrait does not fix the end")
     toward_plus = c == a.end_plus
-    depth = len(g.base_image.word) + a.branch_depth + 8
+    depth = len(g.base_image) + a.branch_depth + 8
     for _ in range(2):
         t = depth if toward_plus else -depth
         step = 1 if toward_plus else -1
@@ -382,16 +386,29 @@ def dynamics_report(a: Portrait, xi: TreeEnd, nmax: int, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def certify_disjoint_by_portraits(
+    F: LocalGroup, alpha: Portrait, beta: Portrait
+) -> tuple[bool, frozenset[Word], frozenset[Word]]:
+    """The oracle for ``gelfand.certify_disjoint``: the same orbit sets
+    K(ab x0) and K b K(a x0), with every image read off the portraits'
+    machines rather than by word reduction, and no size cap."""
+    left = k_orbit(F, alpha.image(beta.image(ROOT)))
+    mid = k_orbit(F, alpha.image(ROOT))
+    right: set[Word] = set()
+    for y in mid:
+        right |= k_orbit(F, beta.image(y))
+    return left.isdisjoint(right), frozenset(left), frozenset(right)
+
+
 def check_legal(g: Portrait, F: LocalGroup, radius: int) -> bool:
     """U(F)-legality oracle: every local permutation of ``g`` within the
     ball of ``radius`` lies in F and satisfies the legality cocycle."""
     for w in ball_words(F.degree, radius):
-        v = TreeVertex(w)
-        sig = g.sigma(v)
+        sig = g.sigma(w)
         if sig not in F:
             return False
         if w:
-            if sig[w[-1]] != g.sigma(TreeVertex(w[:-1]))[w[-1]]:
+            if sig[w[-1]] != g.sigma(w[:-1])[w[-1]]:
                 return False
     return True
 
@@ -525,13 +542,13 @@ class Recipe:
         return self(TablePortrait), self(MemoTablePortrait)
 
 
-def table_recipe(base_image: TreeVertex, table: dict, degree: int, extension: str) -> Recipe:
+def table_recipe(base_image: Word, table: dict, degree: int, extension: str) -> Recipe:
     return Recipe(lambda make: make(base_image, table, degree, extension))
 
 
 def transport_recipe(word, degree: int = 3) -> Recipe:
     """``parallel_transport(word, degree)`` as a recipe."""
-    return table_recipe(TreeVertex(tuple(word)), {}, degree, EXTEND_SPARSE)
+    return table_recipe(tuple(word), {}, degree, EXTEND_SPARSE)
 
 
 def random_k_recipe(
@@ -613,7 +630,7 @@ def hyperbolic_from_segment(h: Portrait, seg, image_seg) -> IsometryClass:
     for v, w in zip(seg, image_seg):
         if h.image(v) != w:
             raise NotTranslatedSegment("image segment is not the pointwise image")
-    k = seg[0].distance(image_seg[0])
+    k = word_distance(seg[0], image_seg[0])
     if k < 1:
         raise NotTranslatedSegment("zero shift")
     if len(seg) - k < 2:
@@ -623,7 +640,7 @@ def hyperbolic_from_segment(h: Portrait, seg, image_seg) -> IsometryClass:
             raise NotTranslatedSegment("image does not overlap the segment forward")
     union = seg + image_seg[len(seg) - k:]
     for a, b in zip(union, union[1:]):
-        if a.distance(b) != 1:
+        if word_distance(a, b) != 1:
             raise NotTranslatedSegment("segment is not a path")
     for a, b in zip(union, union[2:]):
         if a == b:
@@ -632,7 +649,7 @@ def hyperbolic_from_segment(h: Portrait, seg, image_seg) -> IsometryClass:
     return IsometryClass(kind="hyperbolic", length=k, axis=axis, axis_vertex=seg[0])
 
 
-def _axis_limit(h: Portrait, start: TreeVertex) -> TreeEnd:
+def _axis_limit(h: Portrait, start: Word) -> TreeEnd:
     """lim h^n(start) for hyperbolic h with start on its axis, one whole
     image per iterate.
 
@@ -643,25 +660,25 @@ def _axis_limit(h: Portrait, start: TreeVertex) -> TreeEnd:
     their first repeat closes the period.
     """
     u = start
-    for _ in range(len(start.word) + 1):
+    for _ in range(len(start) + 1):
         w = h.image(u)
-        if len(w.word) > len(u.word) and w.word[: len(u.word)] == u.word:
+        if len(w) > len(u) and w[: len(u)] == u:
             break
         u = w
     else:
         raise RuntimeError("axis iteration never started extending")
     seen: dict = {}
     while True:
-        key = (h._walk(u.word)[1], w.word[len(u.word):])
+        key = (h._walk(u)[1], w[len(u):])
         if key in seen:
-            return TreeEnd(u.word[: seen[key]], u.word[seen[key]:])
-        seen[key] = len(u.word)
+            return TreeEnd(u[: seen[key]], u[seen[key]:])
+        seen[key] = len(u)
         u, w = w, h.image(w)
-        if w.word[: len(u.word)] != u.word:
+        if w[: len(u)] != u:
             raise RuntimeError("axis iteration stopped extending")
 
 
-def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:
+def axis_overlap(a: Portrait, x0: Word, x: Word, n: int) -> int:
     """Length of the geodesic [x0, a^n(x)] intersected with the axis of a,
     from scratch for the one n: classify a, apply it n times, project."""
     cls = classify_isometry(a)
@@ -675,24 +692,22 @@ def axis_overlap(a: Portrait, x0: TreeVertex, x: TreeVertex, n: int) -> int:
     return abs(c1 - c0)
 
 
-def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, TreeVertex]:
+def brute_min_displacement(g: Portrait, radius: int) -> tuple[int, Word]:
     """Independent oracle: scan the whole ball for the smallest displacement."""
     best = None
     for w in ball_words(g.degree, radius):
-        v = TreeVertex(w)
-        d = g.image(v).distance(v)
+        d = word_distance(g.image(w), w)
         if best is None or d < best[0]:
-            best = (d, v)
+            best = (d, w)
     return best
 
 
-def first_outside_by_ball(F: LocalGroup, g: Portrait, radius: int) -> TreeVertex | None:
+def first_outside_by_ball(F: LocalGroup, g: Portrait, radius: int) -> Word | None:
     """The shortlex-first vertex of the ball of ``radius`` whose local
     permutation under ``g`` is not in F, by scanning the whole ball."""
     for w in ball_words(F.degree, radius):
-        v = TreeVertex(w)
-        if g.sigma(v) not in F:
-            return v
+        if g.sigma(w) not in F:
+            return w
     return None
 
 
@@ -705,7 +720,7 @@ def prefix_memo_image_of_end(g, end: TreeEnd, abort_if_not: TreeEnd | None = Non
     pre_len = len(end.prefix)
     per_len = len(end.period)
     v = ROOT
-    u: Word = g.base_image.word
+    u: Word = g.base_image
     emitted: list[int] = []
     seen: dict = {}
     predicted = None
@@ -744,7 +759,7 @@ def prefix_memo_image_of_end(g, end: TreeEnd, abort_if_not: TreeEnd | None = Non
             predicted = g.step_state(state, c)
             if predicted is None:
                 seen.clear()
-        v = v.neighbor(c)
+        v = reduce_word(v, (c,))
     raise RuntimeError("end image did not stabilize")
 
 
@@ -788,12 +803,12 @@ class MemoTablePortrait(MemoPortrait):
 
     def __init__(self, base_image, table=None, degree=3, extension=EXTEND_SPARSE):
         self.degree = degree
-        self.base_image = base_image
+        self.base_image = tuple(base_image)
         self.extension = extension
         self._table = {tuple(w): tuple(p) for w, p in (table or {}).items()}
         self._table_depth = max((len(w) for w in self._table), default=-1)
         self._sig_memo: dict[Word, tuple] = {}
-        self._img_memo: dict[Word, Word] = {(): base_image.word}
+        self._img_memo: dict[Word, Word] = {(): self.base_image}
 
     def _rule(self, sigma_parent, c):
         if self.extension == EXTEND_CONSTANT:
@@ -803,8 +818,7 @@ class MemoTablePortrait(MemoPortrait):
             return identity(self.degree)
         return transposition(self.degree, c, forced)
 
-    def sigma(self, v):
-        w = v.word
+    def sigma(self, w):
         memo = self._sig_memo
         got = memo.get(w)
         if got is not None:
@@ -826,25 +840,24 @@ class MemoTablePortrait(MemoPortrait):
         memo[w] = sig
         return sig
 
-    def image(self, v):
-        w = v.word
+    def image(self, w):
         memo = self._img_memo
         got = memo.get(w)
         if got is not None:
-            return TreeVertex(got)
+            return got
         i = len(w)
         while i > 0 and w[:i] not in memo:
             i -= 1
         z = memo[w[:i]]
         for j in range(i, len(w)):
-            e = self.sigma(TreeVertex(w[:j]))[w[j]]
+            e = self.sigma(w[:j])[w[j]]
             z = z[:-1] if z and z[-1] == e else z + (e,)
             memo[w[: j + 1]] = z
-        return TreeVertex(z)
+        return z
 
     def walk_state(self, v):
         # from the table's depth on, no child is a table key
-        if len(v.word) < self._table_depth:
+        if len(v) < self._table_depth:
             return None
         return self.sigma(v)
 
@@ -879,7 +892,7 @@ class MemoComposedPortrait(MemoPortrait):
         sg = self.outer.walk_state(hv)
         if sg is None:
             return None
-        return ("C", sh, sg, hv.word[-1] if hv.word else -1)
+        return ("C", sh, sg, hv[-1] if hv else -1)
 
     def step_state(self, state, c: int):
         _, sh, sg, last = state
@@ -910,16 +923,16 @@ class MemoInversePortrait(MemoPortrait):
         self.base_image = self.image(ROOT)
 
     def image(self, v):
-        got = self._img_memo.get(v.word)
+        got = self._img_memo.get(v)
         if got is not None:
-            return TreeVertex(got)
+            return got
         y = ROOT
         # inner(y) walks from the inner base image down to the base vertex,
         # then out along the word of v
-        for e in self.inner.base_image.word[::-1] + v.word:
+        for e in self.inner.base_image[::-1] + v:
             c = invert(self.inner.sigma(y))[e]
-            y = y.neighbor(c)
-        self._img_memo[v.word] = y.word
+            y = reduce_word(y, (c,))
+        self._img_memo[v] = y
         return y
 
     def sigma(self, v):
@@ -930,7 +943,7 @@ class MemoInversePortrait(MemoPortrait):
         s = self.inner.walk_state(z)
         if s is None:
             return None
-        return ("I", s, z.word[-1] if z.word else -1)
+        return ("I", s, z[-1] if z else -1)
 
     def step_state(self, state, c: int):
         _, s, last = state

@@ -17,7 +17,6 @@ from building_forge.tree import (
     EXTEND_CONSTANT,
     TablePortrait,
     TreeEnd,
-    TreeVertex,
     parallel_transport,
 )
 
@@ -178,16 +177,33 @@ class TestGelfand:
         assert doc["consistent"] is False and doc["witness"] is None
 
     def test_exhausted_witness_budget_exits_three(self, groups, capsys):
-        # a weak-side search out of budget is refused; the strong side
-        # answers before any search, at any budget
-        for budget in ("0", "1"):
-            code, out, err = run(
-                capsys, ["gelfand", "--group", groups["c3"], "--budget", budget]
-            )
-            assert (code, out) == (3, "")
-            assert "budget" in err
+        # a weak-side search out of budget is refused; the budget bounds
+        # only the powers, so budget 1 gives the budget-6 witness; the strong
+        # side answers before any search, at any budget
+        code, out, err = run(capsys, ["gelfand", "--group", groups["c3"], "--budget", "0"])
+        assert (code, out) == (3, "")
+        assert err == "error: no pair of powers up to 0 certified as a witness\n"
+        reports = [
+            run(capsys, ["gelfand", "--group", groups["c3"], "--budget", budget])
+            for budget in ("1", "6")
+        ]
+        assert reports[0] == reports[1] and reports[0][0] == 0
         code, out, _ = run(capsys, ["gelfand", "--group", groups["s3"], "--budget", "0"])
         assert code == 0 and json.loads(out)["consistent"] is True
+
+    def test_answers_without_the_pigeonhole(self, groups, capsys, monkeypatch):
+        # the witness is read off words: find-sr's search is never run
+        from building_forge import gelfand, tree
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gelfand walks no pigeonhole")
+
+        monkeypatch.setattr(gelfand, "find_strongly_regular", refuse)
+        monkeypatch.setattr(gelfand, "pigeonhole_find_hyperbolic", refuse)
+        monkeypatch.setattr(tree, "pigeonhole_find_hyperbolic", refuse)
+        code, out, _ = run(capsys, ["gelfand", "--group", groups["c3"]])
+        assert code == 0
+        assert json.loads(out)["witness"]["alpha_image"] == "0 1"
 
     def test_deep_report_stays_small(self, groups, capsys):
         # the orbit counts are listed to sphere 64 at any depth
@@ -365,9 +381,9 @@ class TestDynamicsRowWriter:
             (C3_DOC, "transport:2,1,0", "1 2:0,1", lambda: parallel_transport((2, 1, 0), 3)),
             (S4_DOC, "transport:0,1,2", "3:0,2", lambda: parallel_transport((0, 1, 2), 4)),
             (C3_DOC, INSIDE_C3, ":0,2",
-             lambda: TablePortrait(TreeVertex((0, 2)), {(): (1, 2, 0)}, 3, EXTEND_CONSTANT)),
+             lambda: TablePortrait((0, 2), {(): (1, 2, 0)}, 3, EXTEND_CONSTANT)),
             (S3_DOC, STEP_S3, ":0,2",
-             lambda: TablePortrait(TreeVertex((1,)), {(): (1, 0, 2)}, 3, EXTEND_CONSTANT)),
+             lambda: TablePortrait((1,), {(): (1, 0, 2)}, 3, EXTEND_CONSTANT)),
         ],
         ids=["C3-t01", "C3-t01-attracting", "C3-t210", "S4-t012", "C3-table", "S3-table"],
     )

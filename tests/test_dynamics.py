@@ -25,19 +25,18 @@ from building_forge.tree import (
     TablePortrait,
     TreeApartment,
     TreeEnd,
-    TreeVertex,
     busemann_beta,
     classify_isometry,
     constant_portrait,
     in_Gc0,
     iterate_on_end,
-    least_tail,
     parallel_transport,
     pigeonhole_find_hyperbolic,
     segment_through_apartment,
     standard_apartment,
     transport_between,
 )
+from building_forge.words import Word, reduce_word, word_distance
 
 A = standard_apartment()
 C_PLUS = A.end_plus
@@ -53,7 +52,7 @@ def ray_fixing_portrait(rng: Random, degree: int = 3, depth: int = 6) -> TablePo
     all_perms = list(permutations(range(degree)))
     table = {}
     for k in range(depth):
-        v = C_PLUS.vertex_at(k).word
+        v = C_PLUS.word_prefix(k)
         pin_in = v[-1] if v else None
         pin_out = C_PLUS.letter(k)
         cands = [
@@ -73,7 +72,7 @@ class TestRetraction:
 
     def test_off_line_example(self):
         # attaches at coordinate 0 at distance 2, pushed away from the end
-        x = TreeVertex((2, 0))
+        x = (2, 0)
         assert retraction(A, C_PLUS, x) == -2
         assert retraction(A, A.end_minus, x) == 2
 
@@ -85,10 +84,10 @@ class TestRetraction:
         rng = Random(5)
         words = [w for w in ball_words(3, 6)]
         for _ in range(200):
-            x = TreeVertex(rng.choice(words))
-            y = TreeVertex(rng.choice(words))
+            x = rng.choice(words)
+            y = rng.choice(words)
             rx, ry = retraction(A, C_PLUS, x), retraction(A, C_PLUS, y)
-            assert abs(rx - ry) <= x.distance(y)
+            assert abs(rx - ry) <= word_distance(x, y)
 
     def test_isometry_on_apartments_through_the_end(self):
         # an apartment sharing the plus end, branching at coordinate 2
@@ -96,7 +95,7 @@ class TestRetraction:
         pairs = [(s, t) for s in range(-4, 5) for t in range(-4, 5)]
         for s, t in pairs:
             x, y = b.vertex_at(s), b.vertex_at(t)
-            assert abs(retraction(A, C_PLUS, x) - retraction(A, C_PLUS, y)) == x.distance(y)
+            assert abs(retraction(A, C_PLUS, x) - retraction(A, C_PLUS, y)) == word_distance(x, y)
         # surjective onto a coordinate window
         images = {retraction(A, C_PLUS, b.vertex_at(t)) for t in range(-6, 7)}
         assert len(images) == 13
@@ -154,7 +153,10 @@ class TestBusemann:
         seen = set()
         for g in pool:
             for c in ends:
-                a = TreeApartment(TreeEnd((), least_tail(c.letter(0), degree)), c)
+                # the least 2-periodic tail that leaves c at once
+                first = min(x for x in range(degree) if x != c.letter(0))
+                tail = (first, min(x for x in range(degree) if x != first))
+                a = TreeApartment(TreeEnd((), tail), c)
                 try:
                     expected = busemann_beta_by_retraction(a, c, g)
                 except NotInStabilizer:
@@ -256,13 +258,13 @@ class TestSegmentThroughApartment:
     def test_on_axis_points(self):
         g = parallel_transport((0, 1), 3)
         x0 = ROOT
-        x = TreeVertex((0, 1))  # on the axis at coordinate +2
+        x = (0, 1)  # on the axis at coordinate +2
         for n in range(1, 5):
             assert segment_through_apartment(g, classified(g), x0, x, n)[n] == 2 * n + 2
 
     def test_adjacent_off_axis(self):
         g = parallel_transport((0, 1), 3)
-        overlaps = segment_through_apartment(g, classified(g), TreeVertex((2,)), TreeVertex((2, 0)), 0)
+        overlaps = segment_through_apartment(g, classified(g), (2,), (2, 0), 0)
         assert overlaps[0] == 0
 
     def test_monotone_growth(self):
@@ -271,8 +273,8 @@ class TestSegmentThroughApartment:
         cls = classified(g)
         for _ in range(5):
             words = [w for w in ball_words(3, 4)]
-            x0 = TreeVertex(rng.choice(words))
-            x = TreeVertex(rng.choice(words))
+            x0 = rng.choice(words)
+            x = rng.choice(words)
             vals = [segment_through_apartment(g, cls, x0, x, n)[n] for n in range(13)]
             tail = vals[4:]
             assert all(a <= b for a, b in zip(tail, tail[1:]))
@@ -284,7 +286,7 @@ class TestSegmentThroughApartment:
             words = list(ball_words(degree, 3))
             for kind, g in sample_hyperbolics(rng, degree):
                 cls = classified(g)
-                points = [ROOT, TreeVertex(rng.choice(words)), off_axis_behind_the_base(cls, degree)]
+                points = [ROOT, rng.choice(words), off_axis_behind_the_base(cls, degree)]
                 for x0, x in zip(points, points[1:] + points[:1]):
                     got = segment_through_apartment(g, cls, x0, x, 8)
                     assert got == [axis_overlap(g, x0, x, m) for m in range(9)], (kind, x0, x)
@@ -305,9 +307,9 @@ class TestSegmentThroughApartment:
             return image(self, v)
 
         monkeypatch.setattr(Portrait, "image", counting)
-        got = segment_through_apartment(g, cls, TreeVertex((2,)), TreeVertex((1, 0)), 50)
+        got = segment_through_apartment(g, cls, (2,), (1, 0), 50)
         assert calls == 0
-        assert got[50] == axis_overlap(g, TreeVertex((2,)), TreeVertex((1, 0)), 50)
+        assert got[50] == axis_overlap(g, (2,), (1, 0), 50)
 
 
 def sample_hyperbolics(rng: Random, degree: int) -> list:
@@ -318,12 +320,12 @@ def sample_hyperbolics(rng: Random, degree: int) -> list:
     words = [w for w in ball_words(degree, 4) if w]
     makers = {
         "table": lambda: TablePortrait(
-            TreeVertex(rng.choice(words)),
+            rng.choice(words),
             random_k_recipe(rng, degree, 2, EXTEND_SPARSE)(TablePortrait)._table,
             degree,
         ),
         "constant": lambda: constant_portrait(
-            TreeVertex(rng.choice(words)), tuple(rng.sample(range(degree), degree)), degree
+            rng.choice(words), tuple(rng.sample(range(degree), degree)), degree
         ),
     }
     for kind, make in makers.items():
@@ -334,13 +336,13 @@ def sample_hyperbolics(rng: Random, degree: int) -> list:
     return out
 
 
-def off_axis_behind_the_base(cls, degree: int) -> TreeVertex:
+def off_axis_behind_the_base(cls, degree: int) -> Word:
     """A vertex one step off the axis, projecting two steps behind the base
     vertex's projection (toward the repelling end)."""
     t = cls.axis.project(ROOT)[0] - 2
     v = cls.axis.vertex_at(t)
     on_axis = {cls.axis.vertex_at(t - 1), cls.axis.vertex_at(t + 1)}
-    return next(u for u in map(v.neighbor, range(degree)) if u not in on_axis)
+    return next(u for u in (reduce_word(v, (c,)) for c in range(degree)) if u not in on_axis)
 
 
 class TestPigeonhole:
@@ -348,7 +350,7 @@ class TestPigeonhole:
         # the (0,1,2)-periodic line admits a step-one translation: constant
         # local 3-cycle with base image (0,)
         line = TreeApartment(TreeEnd((), (2, 1, 0)), TreeEnd((), (0, 1, 2)))
-        step = constant_portrait(TreeVertex((0,)), (1, 2, 0), 3)
+        step = constant_portrait((0,), (1, 2, 0), 3)
         return line, step
 
     def test_constant_labels_give_step_size(self):
@@ -376,16 +378,18 @@ class TestPigeonhole:
         line, step = self.line_with_unit_translation()
         with pytest.raises(BudgetExhausted):
             pigeonhole_find_hyperbolic(
-                line, lambda v: v.word, lambda u, v: None, budget=5
+                line, lambda v: v, lambda u, v: None, budget=5
             )
 
     def test_works_on_rays(self):
-        ray = TreeEnd((), (0, 1))
+        # the ray from the base vertex to (0 1)^inf, as the half t >= 0 of a
+        # line through the base vertex
+        ray = TreeApartment(TreeEnd((), (2, 1)), TreeEnd((), (0, 1)))
 
         def transporter(u, v):
             return transport_between(u, v, 3)
 
-        labels = lambda v: len(v.word) % 2
+        labels = lambda v: len(v) % 2
         g, _ = pigeonhole_find_hyperbolic(ray, labels, transporter, budget=6)
         assert classify_isometry(g).length == 2
 

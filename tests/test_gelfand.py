@@ -3,14 +3,14 @@
 import pytest
 
 from helpers import (
-    identity_portrait,
+    certify_disjoint_by_portraits,
     make_c3,
     make_s3,
     make_s4,
     make_trivial,
     subgroups_of_symmetric,
 )
-from building_forge import gelfand
+from building_forge import gelfand, tree
 from building_forge.gelfand import (
     certify_disjoint,
     evaluate_noncommutativity,
@@ -28,11 +28,7 @@ from building_forge.group import (
     two_transitivity_on_ends_proxy,
 )
 from building_forge.hecke import commutativity_report, intersection_numbers
-from building_forge.tree import (
-    TablePortrait,
-    classify_isometry,
-    parallel_transport,
-)
+from building_forge.tree import classify_isometry, parallel_transport
 from building_forge.words import BudgetExhausted
 
 C3 = make_c3()
@@ -72,21 +68,18 @@ class TestStronglyRegularCertificate:
 
 class TestSeparation:
     def test_c3_separation_depth(self):
-        a, _ = find_strongly_regular(C3, 6)
-        axis = classify_isometry(a).axis
-        end, r = separation_end(C3, axis)
-        assert r == 3
-        prefix = end.word_prefix(r)
+        # the shadow of the ends of the classified axis of t_(0 1)
+        axis = classify_isometry(parallel_transport((0, 1), 3)).axis
+        word, r = separation_end(C3)
+        assert r == 3 and len(word) == r
         shadow = k_orbit(C3, axis.end_plus.word_prefix(r)) | k_orbit(
             C3, axis.end_minus.word_prefix(r)
         )
-        assert prefix not in shadow
+        assert word not in shadow
 
     def test_trivial_separation_is_immediate(self):
-        a, _ = find_strongly_regular(TRIV, 6)
-        axis = classify_isometry(a).axis
-        end, r = separation_end(TRIV, axis)
-        assert r == 1
+        word, r = separation_end(TRIV)
+        assert (word, r) == ((2,), 1)
 
 
 class TestFindStronglyRegular:
@@ -120,8 +113,8 @@ class TestWitness:
         assert w is not None and w.m <= 6 and w.n <= 6
         left, right = w.certificate
         assert left and right and left.isdisjoint(right)
-        for g in (w.alpha, w.beta):
-            assert classify_isometry(g).is_hyperbolic
+        for word in (w.alpha, w.beta):
+            assert classify_isometry(parallel_transport(word, 3)).is_hyperbolic
 
     def test_s3_has_no_witness_at_any_budget(self):
         for budget in (0, 2, 6, 10):
@@ -134,11 +127,18 @@ class TestWitness:
         with pytest.raises(BudgetExhausted):
             find_witness(C3, 0)
 
-    def test_budget_too_small_for_pigeonhole(self):
-        # the walk cannot even repeat a label: exhaustion is refused, never
-        # read as the strong side's None
-        with pytest.raises(BudgetExhausted):
-            find_witness(C3, 1)
+    def test_budget_bounds_only_the_powers(self):
+        # budget 1 scans (m, n) = (1, 1) alone, which certifies on C3: no
+        # walk precedes the scan
+        assert find_witness(C3, 1) == find_witness(C3, 6)
+
+    def test_builds_no_portrait(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness is a pair of words")
+
+        monkeypatch.setattr(tree.Portrait, "__init__", refuse)
+        w = find_witness(C3, 6)
+        assert (w.m, w.n, w.alpha) == (1, 1, (0, 1))
 
     def test_no_certified_pair_within_the_budget_is_refused(self, monkeypatch):
         monkeypatch.setattr(
@@ -162,30 +162,52 @@ class TestWitness:
 
     def test_witness_stable_under_deepening(self):
         w = find_witness(C3, 6)
-        a = parallel_transport(w.alpha_image if w.m == 1 else w.alpha_image[: len(w.alpha_image) // w.m], 3)
-        b = parallel_transport(w.beta_image if w.n == 1 else w.beta_image[: len(w.beta_image) // w.n], 3)
-        ok, _, _ = certify_disjoint(C3, a.power(w.m + 1), b.power(w.n + 1))
+        a, b = w.alpha[: len(w.alpha) // w.m], w.beta[: len(w.beta) // w.n]
+        ok, _, _ = certify_disjoint(C3, a * (w.m + 1), b * (w.n + 1))
         assert ok
 
     def test_witness_holds_the_certified_pair(self, monkeypatch):
-        """Each tried pair of powers is built once, and the witness holds
-        the very elements that were certified."""
-        certified, powers = [], []
-        power = TablePortrait.power
+        """The witness holds the very words that were certified: powers of
+        (0 1) and of one word b."""
+        certified = []
 
         def recording(F, alpha, beta):
             certified.append((alpha, beta))
             return certify_disjoint(F, alpha, beta)
 
-        def counted(self, n):
-            powers.append(n)
-            return power(self, n)
-
         monkeypatch.setattr(gelfand, "certify_disjoint", recording)
-        monkeypatch.setattr(TablePortrait, "power", counted)
-        w = find_witness(C3, 6)
-        assert w.alpha is certified[-1][0] and w.beta is certified[-1][1]
-        assert len(powers) == 2 * len(certified)
+        w = find_witness(TRIV, 6)
+        assert (w.alpha, w.beta) == certified[-1]
+        b = w.beta[: len(w.beta) // w.n]
+        assert (w.alpha, w.beta) == ((0, 1) * w.m, b * w.n)
+        # the separating word (2,), extended by the least other color
+        assert b == (2, 0)
+
+
+class TestWordCertificate:
+    def test_every_small_group_against_the_portraits(self):
+        """Every 2-generated subgroup of S3-S5 at budget 6: the certificate
+        read by word reduction equals the one read off the transports'
+        portraits, both words name hyperbolic transports translating by
+        their length, and the orbit algebra separates the two products."""
+        groups = [F for d in (3, 4, 5) for F in subgroups_of_symmetric(d)]
+        witnessed = 0
+        for F in groups:
+            w = find_witness(F, 6)
+            if w is None:
+                assert F.two_transitive, F
+                continue
+            witnessed += 1
+            a, b = (parallel_transport(word, F.degree) for word in (w.alpha, w.beta))
+            oracle = certify_disjoint_by_portraits(F, a, b)
+            assert certify_disjoint(F, w.alpha, w.beta) == oracle == (True, *w.certificate), F
+            for word, g in ((w.alpha, a), (w.beta, b)):
+                cls = classify_isometry(g)
+                assert cls.is_hyperbolic and cls.length == len(word), (F, word)
+            sc = intersection_numbers(F, len(w.alpha) + len(w.beta))
+            first, second = evaluate_noncommutativity(w, sc)
+            assert first >= 1 and second == 0, F
+        assert witnessed == 181
 
 
 class TestEvaluate:
@@ -197,15 +219,12 @@ class TestEvaluate:
 
     def test_unit_pair(self):
         sc = intersection_numbers(C3, 4)
-        e = identity_portrait(3)
-        w = WitnessPair(e, e, 1, 1, (frozenset(), frozenset()), 0)
+        w = WitnessPair((), (), 1, 1, (frozenset(), frozenset()), 0)
         assert evaluate_noncommutativity(w, sc) == (1, 1)
 
     def test_radial_pair_is_symmetric_for_s3(self):
         sc = intersection_numbers(S3, 6)
-        a = parallel_transport((0, 1), 3)
-        b = parallel_transport((0, 2, 1), 3)
-        w = WitnessPair(a, b, 1, 1, (frozenset(), frozenset()), 0)
+        w = WitnessPair((0, 1), (0, 2, 1), 1, 1, (frozenset(), frozenset()), 0)
         first, second = evaluate_noncommutativity(w, sc)
         assert first == second
 

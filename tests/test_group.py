@@ -48,7 +48,6 @@ from building_forge.tree import (
     Portrait,
     TablePortrait,
     TreeEnd,
-    TreeVertex,
     classify_isometry,
     constant_portrait,
     parallel_transport,
@@ -102,7 +101,7 @@ class TestCheckLegal:
         # even translation along the standard apartment is color-preserving
         assert check_legal(parallel_transport((0, 1), 3), C3, 4)
         # the one-step translation needs a transposition, not a 3-cycle power
-        one_step = constant_portrait(TreeVertex((1,)), transposition(3, 0, 1), 3)
+        one_step = constant_portrait((1,), transposition(3, 0, 1), 3)
         assert not check_legal(one_step, C3, 4)
         assert check_legal(one_step, S3, 4)
 
@@ -174,8 +173,8 @@ class TestFirstOutside:
             assert F.first_outside(parallel_transport((0, 1, 2, 0), 3)) is None
 
     def test_names_the_vertex(self):
-        g = TablePortrait(TreeVertex((0, 1)), {(0,): (0, 2, 1)}, 3, EXTEND_SPARSE)
-        assert C3.first_outside(g) == TreeVertex((0,))
+        g = TablePortrait((0, 1), {(0,): (0, 2, 1)}, 3, EXTEND_SPARSE)
+        assert C3.first_outside(g) == (0,)
         assert S3.first_outside(g) is None
 
 

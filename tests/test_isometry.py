@@ -21,13 +21,12 @@ from building_forge.tree import (
     ROOT,
     Portrait,
     TablePortrait,
-    TreeVertex,
     classify_isometry,
     constant_portrait,
     parallel_transport,
     standard_apartment,
 )
-from building_forge.words import sphere_words
+from building_forge.words import sphere_words, word_distance
 
 
 class TestClassify:
@@ -38,7 +37,7 @@ class TestClassify:
     def test_one_step_translation_and_square(self):
         # the legal portrait translating the standard apartment by one step:
         # base image (1,), constant local swap of the two line colors
-        g = constant_portrait(TreeVertex((1,)), transposition(3, 0, 1), 3)
+        g = constant_portrait((1,), transposition(3, 0, 1), 3)
         cls = classify_isometry(g)
         assert cls.kind == "hyperbolic" and cls.length == 1
         # one step is odd, hence not type-preserving; its square is
@@ -49,9 +48,9 @@ class TestClassify:
         g = parallel_transport((0,), 3)
         cls = classify_isometry(g)
         assert cls.kind == "inversion"
-        assert set(v.word for v in cls.fixed_edge) == {(), (0,)}
+        assert set(cls.fixed_edge) == {(), (0,)}
         # every displacement is odd
-        assert all(g.image(v).distance(v) % 2 == 1 for v in map(TreeVertex, [(), (1,), (2, 0)]))
+        assert all(word_distance(g.image(v), v) % 2 == 1 for v in [(), (1,), (2, 0)])
 
     def test_against_brute_force_oracle(self):
         rng = Random(17)
@@ -63,7 +62,7 @@ class TestClassify:
             oracle_min, oracle_v = brute_min_displacement(g, 6)
             assert oracle_min == cls.length
             # the axis realizes the minimum
-            assert g.image(cls.axis_vertex).distance(cls.axis_vertex) == cls.length
+            assert word_distance(g.image(cls.axis_vertex), cls.axis_vertex) == cls.length
 
     def test_translation_length_limit(self):
         # d(x0, g^n x0) - n*length is eventually constant
@@ -73,7 +72,7 @@ class TestClassify:
             gaps = []
             power = g
             for n in range(1, 9):
-                gaps.append(ROOT.distance(power.image(ROOT)) - n * ell)
+                gaps.append(word_distance(ROOT, power.image(ROOT)) - n * ell)
                 power = power * g
             assert gaps[-1] == gaps[-2] == gaps[-3]
 
@@ -116,7 +115,7 @@ def sweep_portraits(rng: Random, degree: int) -> list[Portrait]:
     out = [r(TablePortrait) for r in out]
     out.append(random_hyperbolic(rng, degree)[0])
     # one step along the (0 1) line: hyperbolic of length 1
-    out.append(constant_portrait(TreeVertex((1,)), transposition(degree, 0, 1), degree))
+    out.append(constant_portrait((1,), transposition(degree, 0, 1), degree))
     return out
 
 
@@ -132,7 +131,7 @@ class TestExactClassification:
         for degree in (3, 4, 5):
             for g in sweep_portraits(rng, degree):
                 cls = classify_isometry(g)
-                m, v = brute_min_displacement(g, len(g.image(ROOT).word) // 2)
+                m, v = brute_min_displacement(g, len(g.image(ROOT)) // 2)
                 if m == 0:
                     kind, length, vertex = "elliptic", 0, cls.fixed_vertex
                 elif m == 1 and g.image(g.image(v)) == v:
@@ -178,7 +177,7 @@ class TestExactClassification:
             with monkeypatch.context() as m:
                 m.setattr(Portrait, "image", counting)
                 cls = classify_isometry(g)
-            assert cls.length == 2 and cls.axis_vertex == TreeVertex(u)
+            assert cls.length == 2 and cls.axis_vertex == u
             return calls
 
         assert image_calls(10) == image_calls(100) == image_calls(1000)
@@ -186,7 +185,7 @@ class TestExactClassification:
     def test_non_automorphism_refused(self):
         # a machine emitting color 2 on every edge, with base image (0 1):
         # g(g(x0)) = (0 1) claims an elliptic, but g((0,)) is (0 1 2)
-        g = Portrait(3, TreeVertex((0, 1)), 0, lambda s, c: (2, s))
+        g = Portrait(3, (0, 1), 0, lambda s, c: (2, s))
         with pytest.raises(RuntimeError, match="not an automorphism"):
             classify_isometry(g)
 
@@ -195,7 +194,7 @@ class TestExactClassification:
         # exists: g(x0) = (0 2) and g(g(x0)) = (0 2 1 0) claim a translation
         # of length 2 with x0 on the axis, but g^-1 fixes x0
         table = {0: ((1, 2, 0), (0, 1, 0)), 1: ((1, 0, 2), (0, 1, 0))}
-        g = Portrait(3, TreeVertex((0, 2)), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
+        g = Portrait(3, (0, 2), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
         assert g.inverse().image(ROOT) == ROOT
         with pytest.raises(RuntimeError, match="does not extend it: not an automorphism"):
             classify_isometry(g)
@@ -205,7 +204,7 @@ class TestExactClassification:
         # g(g(x0)) claim a translation of length 4 with x0 on the axis, but
         # g^-1(x0) = (0 2) heads for the same end (0 2 1)^inf as g(x0)
         table = {0: ((2, 1, 0), (1, 1, 1)), 1: ((2, 0, 1), (0, 0, 1))}
-        g = Portrait(3, TreeVertex((0, 2, 1, 0)), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
+        g = Portrait(3, (0, 2, 1, 0), 0, lambda s, c: (table[s][0][c], table[s][1][c]))
         with pytest.raises(RuntimeError, match="axis ends coincide: not an automorphism"):
             classify_isometry(g)
 

@@ -26,7 +26,6 @@ from building_forge.tree import (
     Portrait,
     TablePortrait,
     TreeEnd,
-    TreeVertex,
     _end,
     classify_isometry,
     constant_portrait,
@@ -35,42 +34,41 @@ from building_forge.tree import (
     segment_through_apartment,
     transport_between,
 )
-from building_forge.words import reduce_word, sphere_words
+from building_forge.words import reduce_word, sphere_words, word_distance
 
 
 class TestNavigation:
     def test_identity(self):
         g = identity_portrait(3)
         for w in ball_words(3, 3):
-            assert g.image(TreeVertex(w)).word == w
+            assert g.image(w) == w
 
     def test_parallel_transport_images(self):
         g = parallel_transport((0, 1), 3)
-        assert g.image(ROOT) == TreeVertex((0, 1))
-        assert g.image(TreeVertex((1,))) == TreeVertex((0,))
-        assert g.image(TreeVertex((0,))) == TreeVertex((0, 1, 0))
-        assert g.image(TreeVertex((2,))) == TreeVertex((0, 1, 2))
+        assert g.image(ROOT) == (0, 1)
+        assert g.image((1,)) == (0,)
+        assert g.image((0,)) == (0, 1, 0)
+        assert g.image((2,)) == (0, 1, 2)
 
     def test_images_preserve_adjacency(self):
         rng = Random(7)
         for _ in range(5):
             g = random_k_portrait(rng, 3)
             for w in ball_words(3, 4):
-                v = TreeVertex(w)
                 for c in range(3):
-                    assert g.image(v).distance(g.image(v.neighbor(c))) == 1
+                    assert word_distance(g.image(w), g.image(reduce_word(w, (c,)))) == 1
 
     def test_transport_between(self):
-        u, v = TreeVertex((2, 0, 1)), TreeVertex((1, 2))
+        u, v = (2, 0, 1), (1, 2)
         g = transport_between(u, v, 3)
         assert g.image(u) == v
 
     def test_radius_monotone_memoization(self):
         g1 = parallel_transport((0, 1, 2), 3)
         g2 = parallel_transport((0, 1, 2), 3)
-        shallow = {w: g1.image(TreeVertex(w)) for w in ball_words(3, 2)}
-        deep = {w: g1.image(TreeVertex(w)) for w in ball_words(3, 4)}
-        fresh = {w: g2.image(TreeVertex(w)) for w in ball_words(3, 4)}
+        shallow = {w: g1.image(w) for w in ball_words(3, 2)}
+        deep = {w: g1.image(w) for w in ball_words(3, 4)}
+        fresh = {w: g2.image(w) for w in ball_words(3, 4)}
         assert deep == fresh
         assert all(deep[w] == shallow[w] for w in shallow)
 
@@ -99,13 +97,11 @@ class TestAlgebra:
             h = parallel_transport((0, 2), 3)
             gh = g * h
             for w in ball_words(3, 3):
-                v = TreeVertex(w)
-                assert gh.image(v) == g.image(h.image(v))
+                assert gh.image(w) == g.image(h.image(w))
             gi = g.inverse()
             for w in ball_words(3, 3):
-                v = TreeVertex(w)
-                assert gi.image(g.image(v)) == v
-                assert g.image(gi.image(v)) == v
+                assert gi.image(g.image(w)) == w
+                assert g.image(gi.image(w)) == w
 
     def test_associativity(self):
         rng = Random(13)
@@ -115,12 +111,11 @@ class TestAlgebra:
         left = (f * g) * h
         right = f * (g * h)
         for w in ball_words(3, 4):
-            v = TreeVertex(w)
-            assert left.image(v) == right.image(v)
+            assert left.image(w) == right.image(w)
 
     def test_power(self):
         g = parallel_transport((0, 1), 3)
-        assert g.power(3).image(ROOT).word == (0, 1) * 3
+        assert g.power(3).image(ROOT) == (0, 1) * 3
 
     @pytest.mark.parametrize(
         "t",
@@ -129,7 +124,7 @@ class TestAlgebra:
             parallel_transport((0, 1), 3),
             parallel_transport((0, 1, 0), 3),
             parallel_transport((1, 2, 0, 1), 3),
-            constant_portrait(TreeVertex((2, 0, 1)), (0, 1, 2), 3),
+            constant_portrait((2, 0, 1), (0, 1, 2), 3),
         ],
         ids=["edge flip", "(0 1)", "elliptic (0 1 0)", "(1 2 0 1)", "constant identity"],
     )
@@ -143,9 +138,8 @@ class TestAlgebra:
             p = t.power(n)
             assert isinstance(p, TablePortrait) and p._table == {}
             for w in ball_words(3, 4):
-                v = TreeVertex(w)
-                assert p.image(v) == composed.image(v), (n, w)
-                assert p.sigma(v) == composed.sigma(v), (n, w)
+                assert p.image(w) == composed.image(w), (n, w)
+                assert p.sigma(w) == composed.sigma(w), (n, w)
             for end in ends:
                 assert p.image_of_end(end) == composed.image_of_end(end), (n, end)
             assert C3.first_outside(p) is None and C3.first_outside(composed) is None
@@ -154,14 +148,13 @@ class TestAlgebra:
         # one pass over the base word: composing 400 machines took 0.7 s
         t = parallel_transport((0, 1, 2), 3)
         assert python_calls(lambda: t.power(400)) <= 2.5 * python_calls(lambda: t.power(200))
-        assert t.power(400).base_image.word == (0, 1, 2) * 400
+        assert t.power(400).base_image == (0, 1, 2) * 400
 
     def test_power_of_a_stabilizer_element_composes(self):
         k = random_k_portrait(Random(29), 3, 3, EXTEND_SPARSE)
         cube = k.power(3)
         for w in ball_words(3, 4):
-            v = TreeVertex(w)
-            assert cube.image(v) == k.image(k.image(k.image(v)))
+            assert cube.image(w) == k.image(k.image(k.image(w)))
 
 
 def oracle_end_image(g, end, depth=60):
@@ -170,7 +163,7 @@ def oracle_end_image(g, end, depth=60):
     Past the initial dip the image vertex's word is a prefix of the image
     end's infinite word.
     """
-    return g.image(end.vertex_at(depth))
+    return g.image(end.word_prefix(depth))
 
 
 class TestEndImages:
@@ -195,15 +188,14 @@ class TestEndImages:
         ]
         portraits = [
             parallel_transport((0, 1), 3),
-            constant_portrait(TreeVertex((1,)), transposition(3, 0, 1), 3),
+            constant_portrait((1,), transposition(3, 0, 1), 3),
             random_k_portrait(rng, 3),
             random_hyperbolic(rng, 3)[0],
         ]
         for g in portraits:
             for end in ends:
                 img = g.image_of_end(end)
-                deep = oracle_end_image(g, end)
-                w = deep.word
+                w = oracle_end_image(g, end)
                 assert len(w) >= 30
                 assert w == img.word_prefix(len(w))
 
@@ -283,10 +275,10 @@ class TestIncrementalWalk:
                         word.append(c)
                 state, letters = g.start, []
                 for k in range(len(word) + 1):
-                    v = TreeVertex(word[:k])
+                    v = tuple(word[:k])
                     sigma = tuple(g.step(state, c)[0] for c in range(3))
                     assert sigma == oracle.sigma(v)
-                    assert reduce_word(g.base_image.word, letters) == oracle.image(v).word
+                    assert reduce_word(g.base_image, letters) == oracle.image(v)
                     if k < len(word):
                         e, state = g.step(state, word[k])
                         letters.append(e)
@@ -304,28 +296,6 @@ class TestIncrementalWalk:
             return python_calls(lambda: g.image_of_end(end))
 
         assert calls(200) <= 2.5 * calls(100)
-
-    def test_vertex_validations_do_not_grow_with_the_word(self, monkeypatch):
-        def validations(k):
-            """(vertices validated, letters validated) for a walk along a
-            transport by a word of length 2k."""
-            a = parallel_transport((0, 1) * k, 3)
-            calls = letters = 0
-            validate = TreeVertex.__init__
-
-            def counting(self, word=()):
-                nonlocal calls, letters
-                validate(self, word)
-                calls += 1
-                letters += len(self.word)
-
-            with monkeypatch.context() as m:
-                m.setattr(TreeVertex, "__init__", counting)
-                cls = classify_isometry(a)
-                list(iterate_on_end(a, cls, TreeEnd((), (0, 2)), 3))
-            return calls, letters
-
-        assert validations(100) == validations(200)
 
     def test_end_validations_do_not_grow_with_the_walk(self, monkeypatch):
         def validations(n):
@@ -398,9 +368,8 @@ class TestForwardPasses:
             g, oracle = recipe.both()
             assert g.base_image == oracle.base_image
             for w in ball_words(3, 5):
-                v = TreeVertex(w)
-                assert g.sigma(v) == oracle.sigma(v), (g, w)
-                assert g.image(v) == oracle.image(v), (g, w)
+                assert g.sigma(w) == oracle.sigma(w), (g, w)
+                assert g.image(w) == oracle.image(w), (g, w)
 
     def test_peak_memory_grows_linearly_with_the_word(self):
         def peak(k):

@@ -6,40 +6,48 @@ import pickle
 import pytest
 
 from helpers import ConeNeighborhood, ball_words, geodesic
-from building_forge.tree import ROOT, TreeApartment, TreeEnd, TreeVertex, standard_apartment
-from building_forge.words import reduce_word, sphere_words
+from building_forge.tree import (
+    ROOT,
+    TablePortrait,
+    TreeApartment,
+    TreeEnd,
+    parallel_transport,
+    standard_apartment,
+)
+from building_forge.words import reduce_word, sphere_words, word_distance
 
 
 class TestWords:
     def test_backtracking_rejected(self):
-        with pytest.raises(ValueError):
-            TreeVertex((0, 0))
-        with pytest.raises(ValueError):
-            TreeVertex((1, 2, 2, 0))
+        with pytest.raises(ValueError, match=r"^backtracking word \(0, 0\)$"):
+            parallel_transport((0, 0), 3)
+        with pytest.raises(ValueError, match=r"^backtracking word \(1, 2, 2, 0\)$"):
+            TablePortrait((1, 2, 2, 0), {}, 3)
+
+    def test_negative_colors_rejected_first(self):
+        """A base image is input from outside the program: negative colors
+        are refused before backtracking, and both before any other argument."""
+        for word in [(0, -1), (-1, -1)]:
+            with pytest.raises(ValueError, match="^colors are non-negative integers$"):
+                TablePortrait(word, {}, 3)
+        with pytest.raises(ValueError, match="^backtracking word"):
+            TablePortrait((0, 0), {}, 3, "dense")
 
     def test_distance(self):
-        assert TreeVertex((0, 1, 2)).distance(TreeVertex((0, 1))) == 1
-        assert TreeVertex((0, 1, 2)).distance(TreeVertex((0, 2))) == 3
-        assert ROOT.distance(TreeVertex((2, 1, 0))) == 3
+        assert word_distance((0, 1, 2), (0, 1)) == 1
+        assert word_distance((0, 1, 2), (0, 2)) == 3
+        assert word_distance(ROOT, (2, 1, 0)) == 3
 
     def test_reduce_word(self):
         assert reduce_word((0, 1), (1, 0)) == ()
         assert reduce_word((0, 1), (2,)) == (0, 1, 2)
         assert reduce_word((), (0, 1)) == (0, 1)
 
-    def test_neighbors(self):
-        v = TreeVertex((0, 1))
-        assert v.neighbor(1) == TreeVertex((0,))
-        assert v.neighbor(2) == TreeVertex((0, 1, 2))
-        assert hash(v.neighbor(2)) == hash(TreeVertex((0, 1, 2)))
-        with pytest.raises(ValueError):
-            v.neighbor(-1)
-
     def test_geodesic(self):
-        path = geodesic(TreeVertex((0, 1, 2)), TreeVertex((0, 2)))
-        assert [p.word for p in path] == [(0, 1, 2), (0, 1), (0,), (0, 2)]
+        path = geodesic((0, 1, 2), (0, 2))
+        assert path == [(0, 1, 2), (0, 1), (0,), (0, 2)]
         for a, b in zip(path, path[1:]):
-            assert a.distance(b) == 1
+            assert word_distance(a, b) == 1
 
     def test_sphere_sizes(self):
         for q in (2, 3):
@@ -78,7 +86,7 @@ class TestEnds:
     def test_letters_and_vertices(self):
         xi = TreeEnd((2,), (0, 1))
         assert [xi.letter(k) for k in range(5)] == [2, 0, 1, 0, 1]
-        assert xi.vertex_at(3) == TreeVertex((2, 0, 1))
+        assert xi.word_prefix(3) == (2, 0, 1)
 
     def test_agreement_depth(self):
         a = TreeEnd((), (0, 1))
@@ -104,27 +112,27 @@ class TestApartment:
         a = standard_apartment()
         assert a.branch_depth == 0
         assert a.vertex_at(0) == ROOT
-        assert a.vertex_at(2) == TreeVertex((0, 1))
-        assert a.vertex_at(-2) == TreeVertex((1, 0))
+        assert a.vertex_at(2) == (0, 1)
+        assert a.vertex_at(-2) == (1, 0)
 
     def test_branch_off_root(self):
         a = TreeApartment(TreeEnd((0, 1), (2, 0)), TreeEnd((0, 1), (0, 2)))
         assert a.branch_depth == 2
-        assert a.vertex_at(0) == TreeVertex((0, 1))
+        assert a.vertex_at(0) == (0, 1)
 
     def test_projection(self):
         a = standard_apartment()
-        assert a.project(TreeVertex((0, 1, 0))) == (3, 0)
-        assert a.project(TreeVertex((1, 0, 1))) == (-3, 0)
-        assert a.project(TreeVertex((0, 1, 2))) == (2, 1)
-        assert a.project(TreeVertex((2, 0))) == (0, 2)
-        assert a.coordinate_of(TreeVertex((2,))) is None
-        assert TreeVertex((0, 1)) in a
+        assert a.project((0, 1, 0)) == (3, 0)
+        assert a.project((1, 0, 1)) == (-3, 0)
+        assert a.project((0, 1, 2)) == (2, 1)
+        assert a.project((2, 0)) == (0, 2)
+        assert a.coordinate_of((2,)) is None
+        assert (0, 1) in a
 
     def test_line_consecutive_vertices_adjacent(self):
         a = TreeApartment(TreeEnd((2,), (0, 1)), TreeEnd((), (1, 2)))
         for t in range(-5, 5):
-            assert a.vertex_at(t).distance(a.vertex_at(t + 1)) == 1
+            assert word_distance(a.vertex_at(t), a.vertex_at(t + 1)) == 1
 
 
 class TestConeNeighborhood:
@@ -133,8 +141,8 @@ class TestConeNeighborhood:
         cone = ConeNeighborhood(xi, 3)
         assert cone.contains_end(TreeEnd((0, 1, 0, 2), (0, 1)))
         assert not cone.contains_end(TreeEnd((), (0, 2)))
-        assert cone.contains_vertex(TreeVertex((0, 1, 0, 1)))
-        assert not cone.contains_vertex(TreeVertex((0, 1, 0)))
+        assert cone.contains_vertex((0, 1, 0, 1))
+        assert not cone.contains_vertex((0, 1, 0))
 
     def test_depth_validated(self):
         with pytest.raises(ValueError):
@@ -142,13 +150,12 @@ class TestConeNeighborhood:
 
 
 class TestValueTypes:
-    """Vertices, ends, apartments and cone neighborhoods are frozen values:
+    """Ends, apartments and cone neighborhoods are frozen values:
     equal when of one class with equal normalized fields, hashed by those
     fields, with the reprs the reports and notes print."""
 
     # (class, arguments, other arguments naming the same value, repr)
     VALUES = [
-        (TreeVertex, ((0, 1, 2),), ([0, 1, 2],), "TreeVertex(0 1 2)"),
         (TreeEnd, ((0, 1), (2, 1)), ((0,), (1, 2, 1, 2)), "TreeEnd(0 | 1 2)"),
         (
             TreeApartment,
@@ -163,7 +170,7 @@ class TestValueTypes:
             "ConeNeighborhood(ray_target=TreeEnd( | 0 1), r=3)",
         ),
     ]
-    IDS = ["vertex", "end", "apartment", "cone"]
+    IDS = ["end", "apartment", "cone"]
 
     @pytest.mark.parametrize("cls, args, same, text", VALUES, ids=IDS)
     def test_assignment_refused(self, cls, args, same, text):
@@ -183,8 +190,6 @@ class TestValueTypes:
         assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
 
     def test_values_equal_only_their_own_class(self):
-        assert TreeVertex(()) != ()
-        assert TreeVertex(()) == TreeVertex() == ROOT
         end = TreeEnd((), (0, 1))
         assert end != ((), (0, 1))
         assert ConeNeighborhood(end, 1) != (end, 1)
@@ -192,4 +197,3 @@ class TestValueTypes:
     def test_normal_form_is_stored(self):
         end = TreeEnd((2, 0, 1), (0, 1, 0, 1))
         assert (end.prefix, end.period) == ((2,), (0, 1))
-        assert TreeVertex([0, 1]).word == (0, 1)
